@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot paths a memory controller
 // would execute per access: Max-WE's read-path translation (§4.2's
-// LMT -> RMT -> raw cascade), the O(1) resolve cache, wear-leveler
-// translation, and a full simulated write through the engine pipeline.
+// LMT -> RMT -> raw cascade), wear-leveler translation, and a full
+// simulated write through the engine pipeline.
 
 #include <benchmark/benchmark.h>
 
@@ -53,16 +53,6 @@ void BM_MaxWeTranslateRead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaxWeTranslateRead)->Arg(0)->Arg(5)->Arg(20);
-
-void BM_MaxWeResolveCache(benchmark::State& state) {
-  auto m = worn_maxwe(0.05);
-  Rng rng(2);
-  const std::uint64_t u = m->working_lines();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m->resolve(rng.uniform_u64(u)));
-  }
-}
-BENCHMARK(BM_MaxWeResolveCache);
 
 void BM_WearLevelerTranslate(benchmark::State& state) {
   static const char* kNames[] = {"none", "startgap", "tlsr", "pcms", "bwl",
@@ -182,56 +172,6 @@ BENCHMARK(BM_MultinomialDraw)
     ->Args({4096, 2048})
     ->Args({4096, 1 << 16})
     ->Unit(benchmark::kMicrosecond);
-
-void BM_DeviceWriteCountsSoA(benchmark::State& state) {
-  // The SoA bulk-decrement the counts path rides on: one write_counts call
-  // absorbing `lines * kPerLine` writes across distinct lines, vs the same
-  // multiset issued one write() at a time (BM_DeviceWriteCountsPerWrite).
-  auto map = bench_map();
-  Device device(map);
-  const auto lines = static_cast<std::size_t>(state.range(0));
-  constexpr WriteCount kPerLine = 4;
-  std::vector<std::uint64_t> addrs(lines);
-  std::vector<WriteCount> counts(lines, kPerLine);
-  for (std::size_t i = 0; i < lines; ++i) addrs[i] = i;
-  for (auto _ : state) {
-    if (device.remaining(PhysLineAddr{0}) <= kPerLine) {
-      state.PauseTiming();
-      device.reset();
-      state.ResumeTiming();
-    }
-    benchmark::DoNotOptimize(
-        device.write_counts(std::span<const std::uint64_t>(addrs),
-                            std::span<const WriteCount>(counts)));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(lines * kPerLine));
-}
-BENCHMARK(BM_DeviceWriteCountsSoA)->Arg(64)->Arg(512)->Arg(4096);
-
-void BM_DeviceWriteCountsPerWrite(benchmark::State& state) {
-  // Baseline for BM_DeviceWriteCountsSoA: identical write multiset through
-  // the validated single-write entry point.
-  auto map = bench_map();
-  Device device(map);
-  const auto lines = static_cast<std::size_t>(state.range(0));
-  constexpr WriteCount kPerLine = 4;
-  for (auto _ : state) {
-    if (device.remaining(PhysLineAddr{0}) <= kPerLine) {
-      state.PauseTiming();
-      device.reset();
-      state.ResumeTiming();
-    }
-    for (std::size_t i = 0; i < lines; ++i) {
-      for (WriteCount k = 0; k < kPerLine; ++k) {
-        benchmark::DoNotOptimize(device.write(PhysLineAddr{i}));
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(lines * kPerLine));
-}
-BENCHMARK(BM_DeviceWriteCountsPerWrite)->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_EngineBatchedWrite(benchmark::State& state) {
   // Full Engine::run through the batched fast path vs. the per-write path

@@ -5,10 +5,11 @@
 # and counters on the hottest loops must cost <= 2% wall time. This script
 # measures that on the two hot paths the profiler instruments most densely:
 #
-#   1. A UAA spare-fraction sweep (run-length batched fast path: the
-#      engine.batch.* spans and batch counters).
-#   2. A zipf stochastic run (multinomial counts path: engine.counts.*
-#      spans, resolve-cache counters, chunk histograms).
+#   1. A UAA spare-fraction sweep under TLSR (run-length batched fast
+#      path: one engine.batch.* span per attack run, batch and per-write
+#      counters).
+#   2. A zipf stochastic run (multinomial counts path: one engine.counts.*
+#      span per count vector, chunk counters and histograms).
 #
 # Each config runs REPS times with and without --profile-out; the min-of-N
 # pair is compared (min is the right statistic for a noise gate — the

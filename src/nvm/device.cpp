@@ -24,81 +24,7 @@ Device::Device(std::shared_ptr<const EnduranceMap> endurance)
   remaining_ = budget_;
 }
 
-WriteOutcome Device::write(PhysLineAddr line) {
-  if (!geometry().contains(line)) {
-    throw std::out_of_range("Device::write: line out of range");
-  }
-  if (remaining_[line.value()] == 0) {
-    throw std::logic_error(
-        "Device::write: write to a worn-out line (spare layer must redirect)");
-  }
-  return write_unchecked(line);
-}
-
-BulkWriteResult Device::write_many(PhysLineAddr line, WriteCount count) {
-  if (!geometry().contains(line)) {
-    throw std::out_of_range("Device::write_many: line out of range");
-  }
-  if (count == 0) {
-    throw std::invalid_argument("Device::write_many: count must be >= 1");
-  }
-  WriteCount& rem = remaining_[line.value()];
-  if (rem == 0) {
-    throw std::logic_error(
-        "Device::write_many: write to a worn-out line (spare layer must "
-        "redirect)");
-  }
-  BulkWriteResult res;
-  res.absorbed = std::min(count, rem);
-  total_writes_ += res.absorbed;
-  rem -= res.absorbed;
-  if (rem == 0) {
-    note_wear_out(line);
-    res.wore_out = true;
-  }
-  return res;
-}
-
-BulkCountsResult Device::write_counts(std::span<const std::uint64_t> lines,
-                                      std::span<const WriteCount> counts) {
-  if (lines.size() != counts.size()) {
-    throw std::invalid_argument("Device::write_counts: span length mismatch");
-  }
-  const std::uint64_t num_lines = geometry().num_lines();
-  BulkCountsResult res;
-  // Tight SoA loop: two flat input arrays against the flat remaining_
-  // vector. No virtual dispatch, no per-write branching — the only cold
-  // exit is the first wear-out, which returns control to the engine so the
-  // spare layer can rescue and the stale tail can be re-resolved.
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const std::uint64_t l = lines[i];
-    if (l >= num_lines) {
-      throw std::out_of_range("Device::write_counts: line out of range");
-    }
-    WriteCount& rem = remaining_[l];
-    if (rem == 0) {
-      throw std::logic_error(
-          "Device::write_counts: write to a worn-out line (spare layer must "
-          "redirect)");
-    }
-    const WriteCount take = std::min(counts[i], rem);
-    rem -= take;
-    res.absorbed += take;
-    if (rem == 0) {
-      total_writes_ += res.absorbed;
-      res.entries_done = i;
-      res.entry_absorbed = take;
-      res.wore_out = true;
-      note_wear_out(PhysLineAddr{l});
-      return res;
-    }
-  }
-  total_writes_ += res.absorbed;
-  res.entries_done = lines.size();
-  return res;
-}
-
-WriteOutcome Device::note_wear_out(PhysLineAddr line) {
+void Device::note_wear_out(PhysLineAddr line) {
   ++worn_out_count_;
   if (wear_outs_ != nullptr) wear_outs_->inc();
   if (obs_.trace != nullptr) {
@@ -108,7 +34,6 @@ WriteOutcome Device::note_wear_out(PhysLineAddr line) {
          {"region", static_cast<double>(geometry().region_of(line).value())},
          {"worn_out_lines", static_cast<double>(worn_out_count_)}});
   }
-  return WriteOutcome::kWornOut;
 }
 
 void Device::set_observer(const Observer& obs) {

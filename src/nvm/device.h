@@ -7,10 +7,9 @@
 // corrupting lifetime accounting.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
-#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "nvm/endurance_map.h"
@@ -32,16 +31,6 @@ struct BulkWriteResult {
   bool wore_out{false};    ///< The last absorbed write exhausted the line.
 };
 
-/// Result of a Device::write_counts scan over an SoA count vector.
-struct BulkCountsResult {
-  /// Entries fully absorbed before the scan stopped; equals lines.size()
-  /// when no wear-out occurred. On a wear-out, the stopping entry's index.
-  std::size_t entries_done{0};
-  WriteCount absorbed{0};        ///< Total writes absorbed this call.
-  WriteCount entry_absorbed{0};  ///< Absorbed within the stopping entry.
-  bool wore_out{false};          ///< Scan stopped at a line wear-out.
-};
-
 class Device {
  public:
   explicit Device(std::shared_ptr<const EnduranceMap> endurance);
@@ -53,37 +42,36 @@ class Device {
 
   /// Apply one write to `line`. Throws std::logic_error if the line is
   /// already worn out.
-  WriteOutcome write(PhysLineAddr line);
+  WriteOutcome write(PhysLineAddr line) {
+    return write_many(line, 1).wore_out ? WriteOutcome::kWornOut
+                                        : WriteOutcome::kOk;
+  }
 
-  /// Batched entry: apply up to `count` writes to `line`, validating once
-  /// and bulk-decrementing the budget. Returns how many writes the line
-  /// absorbed (min(count, remaining)) and whether the last absorbed write
-  /// wore it out. Throws exactly like write() for an out-of-range or
-  /// already-worn-out line; `count` must be >= 1.
-  BulkWriteResult write_many(PhysLineAddr line, WriteCount count);
-
-  /// Structure-of-arrays bulk decrement: apply counts[i] writes to raw
-  /// physical line lines[i], in order, as one tight loop over two flat
-  /// arrays — the wear half of the batched stochastic fast path. The scan
-  /// stops at the first line that wears out (the caller must let the spare
-  /// layer rescue it and re-resolve the tail before continuing) and reports
-  /// how far it got. Lines may repeat; zero counts are skipped. Throws like
-  /// write() on an out-of-range or already-worn-out line, and
-  /// std::invalid_argument on mismatched span lengths.
-  BulkCountsResult write_counts(std::span<const std::uint64_t> lines,
-                                std::span<const WriteCount> counts);
-
-  /// Fast-path single write: range/liveness validation reduced to
-  /// debug-only asserts. Callers must guarantee `line` is in range and not
-  /// worn out (the batched engine path validates once per span).
-  WriteOutcome write_unchecked(PhysLineAddr line) {
-    assert(geometry().contains(line));
+  /// Bulk entry: apply up to `count` writes to `line` with one validation
+  /// and one budget subtraction. Returns how many writes the line absorbed
+  /// (min(count, remaining)) and whether the last absorbed write wore it
+  /// out. Throws exactly like write() for an out-of-range or already
+  /// worn-out line; `count` must be >= 1. Inline: the engine's write loop
+  /// issues every device write through here.
+  BulkWriteResult write_many(PhysLineAddr line, WriteCount count) {
+    if (line.value() >= remaining_.size()) [[unlikely]] {
+      throw std::out_of_range("Device::write_many: line out of range");
+    }
+    if (count == 0) [[unlikely]] {
+      throw std::invalid_argument("Device::write_many: count must be >= 1");
+    }
     WriteCount& rem = remaining_[line.value()];
-    assert(rem > 0);
-    ++total_writes_;
-    --rem;
-    if (rem == 0) return note_wear_out(line);
-    return WriteOutcome::kOk;
+    if (rem == 0) [[unlikely]] {
+      throw std::logic_error(
+          "Device::write_many: write to a worn-out line (spare layer must "
+          "redirect)");
+    }
+    const WriteCount absorbed = count < rem ? count : rem;
+    total_writes_ += absorbed;
+    rem -= absorbed;
+    const bool wore_out = rem == 0;
+    if (wore_out) [[unlikely]] note_wear_out(line);
+    return {absorbed, wore_out};
   }
 
   /// Integer write budget of `line` (endurance rounded, at least 1).
@@ -135,9 +123,9 @@ class Device {
   void set_observer(const Observer& obs);
 
  private:
-  /// Cold path shared by write_unchecked/write_many: bump the worn-out
-  /// counters and emit the trace instant. Always returns kWornOut.
-  WriteOutcome note_wear_out(PhysLineAddr line);
+  /// Cold path of write_many: bump the worn-out counters and emit the
+  /// trace instant.
+  void note_wear_out(PhysLineAddr line);
 
   Observer obs_{};
   Counter* wear_outs_{nullptr};

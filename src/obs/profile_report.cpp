@@ -226,8 +226,6 @@ void render_counters(std::ostream& os, const ProfileDoc& doc) {
     }
     table.print(os);
   }
-  append_rate_line(os, "resolve cache", doc.counter("resolve_cache.hit"),
-                   doc.counter("resolve_cache.miss"));
   append_rate_line(os, "endurance cache", doc.counter("endurance_cache.hit"),
                    doc.counter("endurance_cache.miss"));
   append_rate_line(os, "dram buffer", doc.counter("buffer.hit"),

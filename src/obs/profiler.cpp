@@ -16,7 +16,6 @@ constexpr ProfPhaseInfo kProfPhaseInfo[] = {
     {"experiment.setup", ProfPhase::kFleetDevice},
     {"engine.run", ProfPhase::kFleetDevice},
     {"engine.counts.draw", ProfPhase::kEngineRun},
-    {"engine.counts.resolve", ProfPhase::kEngineRun},
     {"engine.counts.write", ProfPhase::kEngineRun},
     {"engine.batch.draw", ProfPhase::kEngineRun},
     {"engine.batch.write", ProfPhase::kEngineRun},
@@ -39,11 +38,10 @@ static_assert(sizeof(kProfPhaseInfo) / sizeof(kProfPhaseInfo[0]) ==
               "kProfPhaseInfo out of sync with ProfPhase");
 
 constexpr std::string_view kProfCounterNames[] = {
-    "resolve_cache.hit",    "resolve_cache.miss",  "resolve_cache.flush",
-    "endurance_cache.hit",  "endurance_cache.miss", "endurance_cache.evict",
-    "buffer.hit",           "buffer.miss",          "buffer.evict",
-    "counts.chunks",        "counts.writes",        "batch.runs",
-    "batch.writes",         "perwrite.writes",      "detector.windows",
+    "endurance_cache.hit", "endurance_cache.miss", "endurance_cache.evict",
+    "buffer.hit",          "buffer.miss",          "buffer.evict",
+    "counts.chunks",       "counts.writes",        "batch.runs",
+    "batch.writes",        "perwrite.writes",      "detector.windows",
     "rescue.events",
 };
 static_assert(sizeof(kProfCounterNames) / sizeof(kProfCounterNames[0]) ==

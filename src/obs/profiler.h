@@ -39,11 +39,10 @@ enum class ProfPhase : std::uint8_t {
   kExperimentSetup = 0,  // map build, scheme/attack/WL construction
   kEngineRun,            // Engine::run end to end
   kEngineCountsDraw,     // multinomial attack draw (next_counts)
-  kEngineCountsResolve,  // translate-and-resolve loop over a counts chunk
-  kEngineCountsWrite,    // Device::write_counts over a counts chunk
+  kEngineCountsWrite,    // one count vector through the write loop
   kEngineBatchDraw,      // run-length attack draw (next_run)
-  kEngineBatchWrite,     // stride-0 write_many spans + remap-sweep spans
-  kEnginePerWrite,       // write_one fallback (horizon == 0 tail)
+  kEngineBatchWrite,     // one attack run through the write loop
+  kEnginePerWrite,       // one write of the --no-fastpath reference
   kEngineBuffer,         // DRAM-buffer hit handling and evict write-back
   kEngineRescue,         // wear-out handling: spare rescue + death metrics
   kEngineDetector,       // detector window close (feature extraction)
@@ -65,10 +64,7 @@ inline constexpr std::size_t kProfPhaseCount =
 /// Monotonic event counters that ride along with the phase timers: cheap
 /// enough to stay on even where a timer would not be.
 enum class ProfCounter : std::uint8_t {
-  kResolveCacheHit = 0,  // translate-compose-resolve cache hits
-  kResolveCacheMiss,
-  kResolveCacheFlush,    // epoch bumps (remap/rescue invalidations)
-  kEnduranceCacheHit,    // endurance-map cache hits (per experiment)
+  kEnduranceCacheHit = 0,  // endurance-map cache hits (per experiment)
   kEnduranceCacheMiss,
   kEnduranceCacheEvict,
   kBufferHit,            // DRAM-buffer write hits
@@ -76,9 +72,9 @@ enum class ProfCounter : std::uint8_t {
   kBufferEvict,          // evictions written back to the device
   kCountsChunks,         // multinomial count-vector chunks issued
   kCountsWrites,         // user writes issued through the counts path
-  kBatchRuns,            // stride-0 runs issued through write_many
-  kBatchWrites,          // user writes issued through the batched path
-  kPerWriteFallback,     // user writes issued one by one
+  kBatchRuns,            // horizon-bounded spans of attack runs
+  kBatchWrites,          // user writes issued through those spans
+  kPerWriteFallback,     // user writes issued one by one through on_write
   kDetectorWindows,      // detector windows closed
   kRescueEvents,         // wear-outs handled (spare rescues attempted)
   kCount,
@@ -95,7 +91,7 @@ inline constexpr std::size_t kProfCounterCount =
 /// (count > 0) and treat the phase as a root when none was.
 [[nodiscard]] ProfPhase prof_phase_parent(ProfPhase phase);
 
-/// Counter name, e.g. "resolve_cache.hit".
+/// Counter name, e.g. "batch.writes".
 [[nodiscard]] std::string_view prof_counter_name(ProfCounter counter);
 
 /// One phase's accumulator. min_ns is kEmptyMin until the first record so

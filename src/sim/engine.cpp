@@ -183,7 +183,6 @@ LifetimeResult Engine::run(WriteCount max_user_writes) {
         "workload forever; set max_user_writes");
   }
 
-  std::vector<WlPhysWrite> batch;
   if (!resumed_) {
     user_writes_ = 0;      // user writes completed (device or buffer)
     absorbed_writes_ = 0;  // subset absorbed by the front buffer
@@ -211,52 +210,14 @@ LifetimeResult Engine::run(WriteCount max_user_writes) {
   }
 
   const std::uint64_t logical_lines = wl_.logical_lines();
-  // Combined translate∘resolve cache for fast spans. One u64 per logical
-  // line: (version << 32) | physical line. Any mapping-epoch change (wear
-  // leveler remap, spare rescue, scrub, state load) flushes the whole
-  // cache in O(1) by bumping the version; entries are zero-filled only on
-  // the (practically unreachable) u32 version wrap. FreeP declines caching
-  // because its resolve() charges checkpointed pointer-walk counters.
-  const bool cache_resolves = fastpath_ && spare_.resolve_cacheable() &&
-                              geom.num_lines() <= UINT32_MAX &&
-                              logical_lines <= UINT32_MAX;
-  std::vector<std::uint64_t> line_cache;
-  std::uint32_t cache_version = 0;
-  std::uint64_t seen_wl_epoch = ~0ull;
-  std::uint64_t seen_spare_epoch = ~0ull;
-  if (cache_resolves) line_cache.assign(logical_lines, 0);
+  // Whether one resolve() may serve consecutive writes to an index until
+  // its line wears out. FreeP's may not: its resolve() charges a pointer
+  // walk per write into checkpointed counters. Only sources allowed to
+  // share a resolve emit entries of more than one write.
+  const bool cacheable = spare_.resolve_cacheable();
 
-  // Resolve-cache traffic, counted into plain locals (three predictable
-  // adds per lookup) and published once at run end — cheap enough to stay
-  // on even with no observer attached.
-  std::uint64_t resolve_hits = 0;
-  std::uint64_t resolve_misses = 0;
-  std::uint64_t resolve_flushes = 0;
-
-  const auto resolve_cached = [&](LogicalLineAddr la) -> PhysLineAddr {
-    if (wl_.mapping_epoch() != seen_wl_epoch ||
-        spare_.mapping_epoch() != seen_spare_epoch) {
-      seen_wl_epoch = wl_.mapping_epoch();
-      seen_spare_epoch = spare_.mapping_epoch();
-      ++resolve_flushes;
-      if (++cache_version == 0) {
-        std::fill(line_cache.begin(), line_cache.end(), 0);
-        cache_version = 1;
-      }
-    }
-    std::uint64_t& slot = line_cache[la.value()];
-    if ((slot >> 32) == cache_version) {
-      ++resolve_hits;
-      return PhysLineAddr{slot & 0xffffffffull};
-    }
-    ++resolve_misses;
-    const PhysLineAddr line = spare_.resolve(wl_.translate(la));
-    slot = (static_cast<std::uint64_t>(cache_version) << 32) | line.value();
-    return line;
-  };
-
-  // Wear-out bookkeeping shared by both paths; bit-identical to the seed
-  // per-write branch. Returns false when the failure ends the run.
+  // Wear-out bookkeeping for every device write. Returns false when the
+  // failure ends the run.
   const auto handle_wear_out = [&](std::uint64_t working_index,
                                    PhysLineAddr line) -> bool {
     const ScopedProfPhase rescue_span(prof, ProfPhase::kEngineRescue);
@@ -341,39 +302,71 @@ LifetimeResult Engine::run(WriteCount max_user_writes) {
     }
   };
 
-  // Exact per-write pipeline (the seed loop body): wear-leveler write path
-  // with migration writes, then device writes one by one.
+  // The one loop that writes to the device. For each position in
+  // [first, last), entry_of() yields a (working index, count) entry, in
+  // stream order; the entry is resolved just before it is written, so a
+  // rescue earlier in the stream is always seen, and one resolve serves
+  // all of its writes. A wear-out goes to the spare layer: a rescued entry
+  // carries on with its remaining writes on the new backing line, an
+  // unrescued one ends the run. Returns the user writes the device
+  // absorbed; the fatal call's figures feed the count-vector credit.
+  struct Entry {
+    std::uint64_t index;
+    WriteCount count;
+    bool overhead;  // wear-leveler migration write, not a user write
+  };
+  WriteCount fatal_entry_left = 0;  // failed entry's count at the fatal call
+  WriteCount fatal_absorbed = 0;    // writes that call absorbed
+  const auto write_entries = [&](auto first, const auto last,
+                                 const auto& entry_of) {
+    const WriteCount user_before = user_writes_;
+    for (; first != last; ++first) {
+      const Entry e = entry_of(first);
+      for (WriteCount left = e.count;;) {
+        const PhysLineAddr line = spare_.resolve(e.index);
+        const BulkWriteResult res = device_.write_many(line, left);
+        (e.overhead ? overhead_writes_ : user_writes_) += res.absorbed;
+        if (!res.wore_out) break;  // the line took every remaining write
+        // A one-write entry has nothing left (a write absorbs at least
+        // one); saying so lets the compiler drop the loop for the per-write
+        // and sweep sources, whose entries are all one write.
+        left = e.count == 1 ? 0 : left - res.absorbed;
+        if (!handle_wear_out(e.index, line)) {
+          fatal_entry_left = left + res.absorbed;
+          fatal_absorbed = res.absorbed;
+          return user_writes_ - user_before;
+        }
+        if (left == 0) break;
+      }
+    }
+    return user_writes_ - user_before;
+  };
+
+  // Per-write source: the wear leveler's write path, whose batch carries
+  // the migration writes of a remap along with the user write. A failure
+  // drops the unissued remainder of the batch.
+  std::vector<WlPhysWrite> batch;
   batch.reserve(16);
   const auto write_one = [&](LogicalLineAddr la) {
     batch.clear();
     wl_.on_write(la, rng_, batch);
-    for (const WlPhysWrite& w : batch) {
-      const PhysLineAddr line = spare_.resolve(w.working_index);
-      const WriteOutcome outcome = device_.write(line);
-      // Count only writes the device absorbed: when failure aborts the
-      // batch, the unissued remainder must not inflate the lifetime.
-      if (w.is_overhead) {
-        ++overhead_writes_;
-      } else {
-        ++user_writes_;
-      }
-      if (outcome == WriteOutcome::kWornOut) {
-        if (!handle_wear_out(w.working_index, line)) break;
-      }
-    }
+    write_entries(batch.data(), batch.data() + batch.size(),
+                  [](const WlPhysWrite* w) {
+                    return Entry{w->working_index, 1, w->is_overhead};
+                  });
   };
 
-  // Count-vector path (stochastic attacks): instead of one address per RNG
-  // call, draw how many of the chunk's writes land on each line (an exact
-  // multinomial from the dedicated counts substream) and bulk-decrement the
-  // wear counters in one SoA pass. Only legal when the attack's declared
-  // contract permits reordering (anything but bit-identical), and only
-  // worthwhile on large chunks — tiny chunks would pay the multinomial
-  // overhead for no batching win, so they fall back to next_run(). Requires
-  // the resolve cache (FreeP's per-resolve counters must see every write).
+  // Count-vector source (stochastic attacks): instead of one address per
+  // RNG call, draw how many of the chunk's writes land on each line (an
+  // exact multinomial from the dedicated counts substream). Only legal when
+  // the attack's declared contract permits reordering (anything but
+  // bit-identical), and only worthwhile on large chunks — tiny chunks would
+  // pay the multinomial overhead for no batching win, so they fall back to
+  // next_run(). An entry is many writes per resolve, so the scheme must
+  // allow that.
   constexpr std::uint64_t kMinCountsChunk = 256;
   const bool counts_capable =
-      fastpath_ && buffer_ == nullptr && cache_resolves &&
+      fastpath_ && buffer_ == nullptr && cacheable &&
       attack_.batch_contract() != BatchContract::kBitIdentical;
   // Cap a chunk at ~1/128 of the device's total write budget so the
   // within-chunk reorder distortion (the documented equivalence slack) stays
@@ -381,7 +374,6 @@ LifetimeResult Engine::run(WriteCount max_user_writes) {
   const std::uint64_t counts_chunk_cap = std::max<std::uint64_t>(
       1024, static_cast<std::uint64_t>(device_.total_budget()) / 128);
   WriteCountVector counts_vec;
-  std::vector<std::uint64_t> phys_scratch;
 
   // Chunk-size distributions and the attack's batching contract go to the
   // metrics registry; histograms are looked up once, never per chunk.
@@ -489,71 +481,37 @@ LifetimeResult Engine::run(WriteCount max_user_writes) {
           // credit below must use the actual total, not the request.
           const std::uint64_t chunk_total = counts_vec.total();
           if (detector_ != nullptr) detector_->observe_counts(counts_vec);
-          // Resolve every entry up front under the current mapping epoch,
-          // then stream the whole vector through the device. A wear-out
-          // hands control back: the spare layer rescues (epoch bump flushes
-          // the cache), the unwritten tail is re-resolved, and the scan
-          // resumes at the stopping entry's unabsorbed remainder.
-          const std::size_t n_entries = counts_vec.size();
-          phys_scratch.resize(n_entries);
-          {
-            const ScopedProfPhase resolve_span(
-                prof, ProfPhase::kEngineCountsResolve);
-            for (std::size_t i = 0; i < n_entries; ++i) {
-              phys_scratch[i] =
-                  resolve_cached(LogicalLineAddr{counts_vec.addrs[i]}).value();
-            }
-          }
-          std::uint64_t issued = 0;
-          std::size_t e = 0;
-          while (e < n_entries && !result.failed) {
-            const BulkCountsResult res = [&] {
-              const ScopedProfPhase write_span(
-                  prof, ProfPhase::kEngineCountsWrite);
-              return device_.write_counts(
-                  std::span<const std::uint64_t>(phys_scratch).subspan(e),
-                  std::span<const WriteCount>(counts_vec.counts).subspan(e));
-            }();
-            user_writes_ += res.absorbed;
-            issued += res.absorbed;
-            if (!res.wore_out) break;
-            const std::size_t stop = e + res.entries_done;
-            const LogicalLineAddr la{counts_vec.addrs[stop]};
-            const PhysLineAddr dead{phys_scratch[stop]};
-            const std::uint64_t entry_total = counts_vec.counts[stop];
-            counts_vec.counts[stop] -= res.entry_absorbed;
-            if (!handle_wear_out(wl_.translate(la), dead)) {
-              // Terminal failure: the per-write stream interleaves the
-              // chunk's writes uniformly (the chunk is exchangeable for a
-              // stationary attack), so the fatal r-th write to the dead
-              // line lands at an expected stream position of
-              // r*(C+1)/(c+1) within the chunk — not at the SoA scan
-              // position, which undercounts by up to a whole chunk when
-              // the chunk spans a large fraction of the lifetime. Credit
-              // the difference so the reported lifetime follows the
-              // per-write law.
-              const double est = static_cast<double>(res.entry_absorbed) *
-                                 (static_cast<double>(chunk_total) + 1.0) /
-                                 (static_cast<double>(entry_total) + 1.0);
-              const std::uint64_t fatal_pos =
-                  std::min(chunk_total, static_cast<std::uint64_t>(est));
-              if (fatal_pos > issued) {
-                // The credited writes never reached the device (it is
-                // dead); book them as absorbed so device_writes ==
-                // user_writes - absorbed + overhead stays exact.
-                user_writes_ += fatal_pos - issued;
-                absorbed_writes_ += fatal_pos - issued;
-                issued = fatal_pos;
-              }
-              break;
-            }
-            e = stop;
-            if (counts_vec.counts[e] == 0) ++e;
-            const ScopedProfPhase resolve_span(
-                prof, ProfPhase::kEngineCountsResolve);
-            for (std::size_t i = e; i < n_entries; ++i) {
-              phys_scratch[i] =
-                  resolve_cached(LogicalLineAddr{counts_vec.addrs[i]}).value();
+          const ScopedProfPhase write_span(prof,
+                                           ProfPhase::kEngineCountsWrite);
+          std::uint64_t issued =
+              write_entries(std::size_t{0}, counts_vec.size(),
+                            [&](std::size_t i) {
+                              return Entry{wl_.translate(LogicalLineAddr{
+                                               counts_vec.addrs[i]}),
+                                           counts_vec.counts[i], false};
+                            });
+          if (result.failed) {
+            // Terminal failure: the per-write stream interleaves the
+            // chunk's writes uniformly (the chunk is exchangeable for a
+            // stationary attack), so the fatal r-th write of the entry's
+            // remaining c lands at an expected stream position of
+            // r*(C+1)/(c+1) within the chunk — not at the entry-order
+            // position, which undercounts by up to a whole chunk when the
+            // chunk spans a large fraction of the lifetime. Credit the
+            // difference so the reported lifetime follows the per-write
+            // law.
+            const double est = static_cast<double>(fatal_absorbed) *
+                               (static_cast<double>(chunk_total) + 1.0) /
+                               (static_cast<double>(fatal_entry_left) + 1.0);
+            const std::uint64_t fatal_pos =
+                std::min(chunk_total, static_cast<std::uint64_t>(est));
+            if (fatal_pos > issued) {
+              // The credited writes never reached the device (it is
+              // dead); book them as absorbed so device_writes ==
+              // user_writes - absorbed + overhead stays exact.
+              user_writes_ += fatal_pos - issued;
+              absorbed_writes_ += fatal_pos - issued;
+              issued = fatal_pos;
             }
           }
           wl_.commit_batched_writes(issued);
@@ -594,7 +552,14 @@ LifetimeResult Engine::run(WriteCount max_user_writes) {
       continue;
     }
 
+    // One span for the whole run, however it is sliced below: a leveler
+    // with a short horizon (PCM-S, BWL) or none (TLSR) would otherwise pay
+    // a clock pair per slice. The perwrite/batch counters keep the split.
+    const ScopedProfPhase write_span(prof, fastpath_
+                                               ? ProfPhase::kEngineBatchWrite
+                                               : ProfPhase::kEnginePerWrite);
     std::uint64_t done = 0;
+    std::uint64_t one_by_one = 0;
     while (done < run.count && !result.failed) {
       // Static-mapping horizon: how many writes the wear leveler takes
       // without remapping, migrating, or drawing from the RNG. 0 means the
@@ -602,57 +567,24 @@ LifetimeResult Engine::run(WriteCount max_user_writes) {
       // per-write path for this write.
       const std::uint64_t horizon = fastpath_ ? wl_.writes_until_remap() : 0;
       if (horizon == 0) {
-        // Coalesce the whole burst of consecutive fallback writes into one
-        // span: a leveler that declines batching (TLSR, --no-fastpath)
-        // funnels *every* write through here, and a per-write clock pair
-        // would cost more than the write itself.
-        const ScopedProfPhase perwrite_span(prof, ProfPhase::kEnginePerWrite);
-        std::uint64_t burst = 0;
-        do {
-          write_one(run.addr_at(done));
-          ++done;
-          ++burst;
-        } while (done < run.count && !result.failed &&
-                 (fastpath_ ? wl_.writes_until_remap() : 0) == 0);
-        if (prof != nullptr) {
-          prof->add(ProfCounter::kPerWriteFallback, burst);
-        }
+        write_one(run.addr_at(done));
+        ++done;
+        ++one_by_one;
         continue;
       }
       const std::uint64_t span = std::min(horizon, run.count - done);
       std::uint64_t issued = 0;
-      const ScopedProfPhase batch_span(prof, ProfPhase::kEngineBatchWrite);
-      if (run.stride == 0 && cache_resolves) {
-        // One address hammered repeatedly: resolve once, bulk-decrement the
-        // device budget, re-resolve only after a wear-out rescues the data
-        // onto a different backing line (the epoch bump flushes the cache).
-        while (issued < span && !result.failed) {
-          const PhysLineAddr line = resolve_cached(run.start);
-          const BulkWriteResult res =
-              device_.write_many(line, span - issued);
-          user_writes_ += res.absorbed;
-          issued += res.absorbed;
-          if (res.wore_out &&
-              !handle_wear_out(wl_.translate(run.start), line)) {
-            break;
-          }
-        }
+      if (run.stride == 0 && cacheable) {
+        // One address hammered: one entry of `span` writes.
+        issued = write_entries(done, done + 1, [&](std::uint64_t) {
+          return Entry{wl_.translate(run.start), span, false};
+        });
       } else {
-        // Distinct addresses (sweep segment), or a spare scheme whose
-        // resolve() must run once per write (FreeP's pointer-walk stats).
-        while (issued < span && !result.failed) {
-          const LogicalLineAddr la = run.addr_at(done + issued);
-          const PhysLineAddr line = cache_resolves
-                                        ? resolve_cached(la)
-                                        : spare_.resolve(wl_.translate(la));
-          const WriteOutcome outcome = device_.write_unchecked(line);
-          ++user_writes_;
-          ++issued;
-          if (outcome == WriteOutcome::kWornOut &&
-              !handle_wear_out(wl_.translate(la), line)) {
-            break;
-          }
-        }
+        // A sweep, or a scheme that resolves once per write: `span`
+        // entries of one write each.
+        issued = write_entries(done, done + span, [&](std::uint64_t k) {
+          return Entry{wl_.translate(run.addr_at(k)), 1, false};
+        });
       }
       // Fast-forward the remap cadence by the writes actually issued (the
       // per-write path would have counted each of them, including a fatal
@@ -666,6 +598,9 @@ LifetimeResult Engine::run(WriteCount max_user_writes) {
       if (batch_span_hist != nullptr) {
         batch_span_hist->observe(static_cast<double>(issued));
       }
+    }
+    if (prof != nullptr && one_by_one > 0) {
+      prof->add(ProfCounter::kPerWriteFallback, one_by_one);
     }
   }
 
@@ -685,9 +620,6 @@ LifetimeResult Engine::run(WriteCount max_user_writes) {
     m.counter("engine.absorbed_writes").set(absorbed_writes_);
     m.counter("engine.line_deaths").set(line_deaths_);
     m.counter("engine.device_writes").set(device_.total_writes());
-    m.counter("engine.resolve_cache_hits").set(resolve_hits);
-    m.counter("engine.resolve_cache_misses").set(resolve_misses);
-    m.counter("engine.resolve_cache_flushes").set(resolve_flushes);
     if (buffer_ != nullptr) buffer_->publish_metrics(m);
     const SpareSchemeStats s = spare_.stats();
     m.gauge("spare.spares_remaining")
@@ -707,16 +639,11 @@ LifetimeResult Engine::run(WriteCount max_user_writes) {
       m.counter("adaptive.cadence_changes").set(adaptive_->cadence_changes());
     }
   }
-  if (prof != nullptr) {
-    prof->add(ProfCounter::kResolveCacheHit, resolve_hits);
-    prof->add(ProfCounter::kResolveCacheMiss, resolve_misses);
-    prof->add(ProfCounter::kResolveCacheFlush, resolve_flushes);
-    if (buffer_ != nullptr) {
-      const DramBufferStats& bs = buffer_->stats();
-      prof->add(ProfCounter::kBufferHit, bs.hits);
-      prof->add(ProfCounter::kBufferMiss, bs.misses);
-      prof->add(ProfCounter::kBufferEvict, bs.evictions);
-    }
+  if (prof != nullptr && buffer_ != nullptr) {
+    const DramBufferStats& bs = buffer_->stats();
+    prof->add(ProfCounter::kBufferHit, bs.hits);
+    prof->add(ProfCounter::kBufferMiss, bs.misses);
+    prof->add(ProfCounter::kBufferEvict, bs.evictions);
   }
   if (obs_.snapshots != nullptr) {
     // Final sample so the series always ends at the run's last state.

@@ -41,17 +41,21 @@ class Engine {
   /// buffer must set a write cap.
   void set_front_buffer(DramBuffer* buffer) { buffer_ = buffer; }
 
-  /// Toggle the batched fast path (on by default). Chunks are bounded by
-  /// the attack's run length, the wear leveler's static-mapping horizon,
-  /// and the next checkpoint / snapshot / fault boundary. The equivalence
-  /// guarantee is the attack's declared BatchContract: for bit-identical
-  /// attacks (UAA, BPA, traces) fastpath runs match the per-write loop
-  /// exactly — same LifetimeResult, RNG stream, event-log bytes, checkpoint
-  /// payloads. Stochastic attacks (zipf, random; hotspot with a multi-line
-  /// working set) additionally take the count-vector path on large chunks:
-  /// per-chunk multinomial draws from a dedicated substream, applied via
-  /// Device::write_counts. Those runs are distribution-equivalent (multiset
-  /// -exact for hotspot) to `--no-fastpath`, and each mode is independently
+  /// Toggle the batched fast path (on by default; off is the per-write
+  /// reference). Every device write of a run goes through one loop over
+  /// (working index, count) entries, each resolved just before it is
+  /// written; the fast path only changes where entries come from. With it
+  /// on, an attack run's span within the wear leveler's static-mapping
+  /// horizon (and before the next checkpoint / snapshot / fault boundary)
+  /// becomes one entry per address instead of one on_write() per write.
+  /// The equivalence guarantee is the attack's declared BatchContract: for
+  /// bit-identical attacks (UAA, BPA, traces) fastpath runs match the
+  /// per-write reference exactly — same LifetimeResult, RNG stream,
+  /// event-log bytes, checkpoint payloads. Stochastic attacks (zipf,
+  /// random; hotspot with a multi-line working set) additionally take
+  /// per-chunk multinomial count vectors from a dedicated substream on
+  /// large chunks. Those runs are distribution-equivalent (multiset-exact
+  /// for hotspot) to `--no-fastpath`, and each mode is independently
   /// reproducible and resumable from its own checkpoints.
   void set_fast_path(bool enabled) { fastpath_ = enabled; }
 

@@ -84,9 +84,9 @@ struct ExperimentConfig {
   /// Max-WE only: fraction q of the spare budget used as SWRs.
   double swr_fraction{0.90};
 
-  /// Stochastic mode only: batched fast path (attack runs -> WL horizon ->
-  /// Device::write_many, plus multinomial count vectors for stochastic
-  /// attacks). Bit-identical to the per-write path for attacks declaring
+  /// Stochastic mode only: batched fast path (attack runs cut at the WL
+  /// horizon, plus multinomial count vectors for stochastic attacks, fed
+  /// to the engine's write loop as (working index, count) entries). Bit-identical to the per-write path for attacks declaring
   /// BatchContract::kBitIdentical (UAA/BPA); distribution-equivalent for
   /// zipf/random (multiset-exact for hotspot). On by default;
   /// `--no-fastpath` is the escape hatch. Deliberately excluded from

@@ -55,19 +55,20 @@ class SpareScheme {
   /// scheme redirected `idx` to a replacement; false means device failure.
   virtual bool on_wear_out(std::uint64_t idx) = 0;
 
-  /// Monotone counter bumped on every change to the working-index ->
-  /// backing-line mapping: replacements, lazy repairs (PCD's rehome),
-  /// scrub rebuilds (Max-WE), reset, and state load. A batched engine
-  /// caches resolve() results only while this value is unchanged.
+  /// Rescue counter: bumped on every change to the working-index ->
+  /// backing-line mapping — replacements, lazy repairs (PCD's rehome),
+  /// scrub rebuilds (Max-WE), reset, and state load. The engine does not
+  /// read it; it is a cheap "did anything move" signal for instrumentation
+  /// and tests.
   [[nodiscard]] std::uint64_t mapping_epoch() const { return mapping_epoch_; }
 
-  /// True when resolve() is a pure lookup whose result may be cached while
-  /// mapping_epoch() is unchanged. The default is false — the safe answer
-  /// for a scheme that doesn't know about epochs. A scheme may opt in only
-  /// if (a) resolve() mutates nothing observable and (b) *every* mapping
-  /// change calls bump_mapping_epoch(). FREE-p stays false even though it
-  /// bumps: its resolve() charges pointer-walk reads into checkpointed
-  /// counters, so skipping calls would change checkpoint bytes.
+  /// True when one resolve() may serve consecutive writes to an index until
+  /// its line wears out: the engine then resolves an entry of k writes once
+  /// instead of k times. Opt in when resolve() does no per-call accounting;
+  /// the mapping may still change at a wear-out, since the engine resolves
+  /// again after every rescue. The default is false, the safe answer (one
+  /// resolve per write). FREE-p stays false: its resolve() charges
+  /// pointer-walk reads into checkpointed counters.
   [[nodiscard]] virtual bool resolve_cacheable() const { return false; }
 
   [[nodiscard]] virtual std::string name() const = 0;

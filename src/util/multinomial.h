@@ -31,11 +31,11 @@ namespace nvmsec {
 /// double-precision integer range; chunk sizes are far below this).
 std::uint64_t binomial_draw(Rng& rng, std::uint64_t n, double p);
 
-/// Structure-of-arrays batch of (address, count) pairs: the unit of work the
-/// engine hands to Device::write_counts. Parallel vectors rather than a
-/// vector of pairs so the device's bulk-decrement loop streams two flat
-/// arrays. Entries may repeat an address (zipf's modulo fold does); counts
-/// are always >= 1.
+/// Structure-of-arrays batch of (address, count) pairs: one chunk of a
+/// stochastic attack, which the engine's write loop takes entry by entry in
+/// order. Parallel vectors rather than a vector of pairs so the draw and the
+/// loop each stream flat arrays. Entries may repeat an address (zipf's
+/// modulo fold does); counts are always >= 1.
 struct WriteCountVector {
   std::vector<std::uint64_t> addrs;
   std::vector<WriteCount> counts;

@@ -79,11 +79,11 @@ class WearLeveler {
     }
   }
 
-  /// Monotone counter bumped whenever the logical->working mapping changes
-  /// (any swap, gap move, reset, or state load). A batched engine caches
-  /// translate() results only while this value is unchanged. Virtual so a
+  /// Remap counter: bumped whenever the logical->working mapping changes
+  /// (any swap, gap move, reset, or state load). The engine does not read
+  /// it; it counts remaps for instrumentation and tests. Virtual so a
   /// decorator (AdaptiveWearLeveler) can forward the wrapped leveler's
-  /// epoch instead of carrying a stale counter of its own.
+  /// count instead of carrying a stale counter of its own.
   [[nodiscard]] virtual std::uint64_t mapping_epoch() const {
     return mapping_epoch_;
   }

@@ -147,82 +147,5 @@ TEST(DeviceTest, GeometryAndMapAccessors) {
   EXPECT_EQ(&d.endurance_map(), map.get());
 }
 
-
-TEST(DeviceTest, WriteCountsAbsorbsWholeVector) {
-  Device d(tiny_map());
-  // Budgets: lines 0-3 have 2, lines 4-7 have 3, 8-11 have 4.
-  const std::vector<std::uint64_t> lines{0, 1, 4, 8};
-  const std::vector<WriteCount> counts{1, 1, 2, 3};
-  const BulkCountsResult res = d.write_counts(lines, counts);
-  EXPECT_FALSE(res.wore_out);
-  EXPECT_EQ(res.entries_done, 4u);
-  EXPECT_EQ(res.absorbed, 7u);
-  EXPECT_EQ(d.total_writes(), 7u);
-  EXPECT_EQ(d.remaining(PhysLineAddr{0}), 1u);
-  EXPECT_EQ(d.remaining(PhysLineAddr{4}), 1u);
-  EXPECT_EQ(d.remaining(PhysLineAddr{8}), 1u);
-  EXPECT_EQ(d.worn_out_count(), 0u);
-}
-
-TEST(DeviceTest, WriteCountsStopsAtFirstWearOutAndClampsTheEntry) {
-  Device d(tiny_map());
-  // Entry 1 asks for 10 writes against line 1's budget of 2: the device
-  // absorbs exactly 2, wears the line out, and never touches entry 2.
-  const std::vector<std::uint64_t> lines{0, 1, 4};
-  const std::vector<WriteCount> counts{1, 10, 3};
-  const BulkCountsResult res = d.write_counts(lines, counts);
-  EXPECT_TRUE(res.wore_out);
-  EXPECT_EQ(res.entries_done, 1u);
-  EXPECT_EQ(res.entry_absorbed, 2u);
-  EXPECT_EQ(res.absorbed, 3u);
-  EXPECT_EQ(d.total_writes(), 3u);
-  EXPECT_TRUE(d.is_worn_out(PhysLineAddr{1}));
-  EXPECT_EQ(d.worn_out_count(), 1u);
-  EXPECT_EQ(d.remaining(PhysLineAddr{4}), 3u);  // untouched tail
-}
-
-TEST(DeviceTest, WriteCountsExactBudgetWearsOut) {
-  Device d(tiny_map());
-  const std::vector<std::uint64_t> lines{0};
-  const std::vector<WriteCount> counts{2};
-  const BulkCountsResult res = d.write_counts(lines, counts);
-  EXPECT_TRUE(res.wore_out);
-  EXPECT_EQ(res.entries_done, 0u);
-  EXPECT_EQ(res.entry_absorbed, 2u);
-  EXPECT_EQ(res.absorbed, 2u);
-  EXPECT_TRUE(d.is_worn_out(PhysLineAddr{0}));
-}
-
-TEST(DeviceTest, WriteCountsValidationMatchesWrite) {
-  Device d(tiny_map());
-  const std::vector<std::uint64_t> ok_line{0};
-  const std::vector<WriteCount> two_counts{1, 1};
-  EXPECT_THROW(d.write_counts(ok_line, two_counts), std::invalid_argument);
-  const std::vector<std::uint64_t> bad_line{16};
-  const std::vector<WriteCount> one{1};
-  EXPECT_THROW(d.write_counts(bad_line, one), std::out_of_range);
-  d.write(PhysLineAddr{0});
-  d.write(PhysLineAddr{0});
-  EXPECT_THROW(d.write_counts(ok_line, one), std::logic_error);
-}
-
-TEST(DeviceTest, WriteCountsMatchesSingleWrites) {
-  Device bulk(tiny_map());
-  Device single(tiny_map());
-  const std::vector<std::uint64_t> lines{2, 5, 9, 13};
-  const std::vector<WriteCount> counts{1, 2, 3, 4};
-  const BulkCountsResult res = bulk.write_counts(lines, counts);
-  EXPECT_FALSE(res.wore_out);
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    for (WriteCount k = 0; k < counts[i]; ++k) {
-      EXPECT_EQ(single.write(PhysLineAddr{lines[i]}), WriteOutcome::kOk);
-    }
-  }
-  EXPECT_EQ(bulk.total_writes(), single.total_writes());
-  for (const std::uint64_t l : lines) {
-    EXPECT_EQ(bulk.remaining(PhysLineAddr{l}), single.remaining(PhysLineAddr{l}));
-  }
-}
-
 }  // namespace
 }  // namespace nvmsec

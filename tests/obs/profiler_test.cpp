@@ -96,11 +96,11 @@ TEST(ProfilerTest, RecordAndCountersAccumulate) {
   EXPECT_EQ(prof.counter(ProfCounter::kBufferMiss), 0u);
 }
 
-Profiler make_profiler(std::uint64_t ns, std::uint64_t hits) {
+Profiler make_profiler(std::uint64_t ns, std::uint64_t writes) {
   Profiler p;
   p.record(ProfPhase::kEngineRun, ns);
   p.record(ProfPhase::kEngineCountsDraw, ns / 2);
-  p.add(ProfCounter::kResolveCacheHit, hits);
+  p.add(ProfCounter::kBatchWrites, writes);
   p.set_utilization({ProfWorkerStats{ns, 1}}, ns);
   return p;
 }
@@ -138,7 +138,7 @@ TEST(ProfilerTest, MergeIsAssociative) {
   EXPECT_EQ(left.phase(ProfPhase::kEngineRun).total_ns, 700u);
   EXPECT_EQ(left.phase(ProfPhase::kEngineRun).min_ns, 100u);
   EXPECT_EQ(left.phase(ProfPhase::kEngineRun).max_ns, 400u);
-  EXPECT_EQ(left.counter(ProfCounter::kResolveCacheHit), 7u);
+  EXPECT_EQ(left.counter(ProfCounter::kBatchWrites), 7u);
   EXPECT_EQ(left.workers().size(), 3u);
 }
 
@@ -170,8 +170,8 @@ TEST(ProfilerTest, JsonRoundTripsThroughProfileReport) {
   prof.record(ProfPhase::kEngineRun, 1000);
   prof.record(ProfPhase::kEngineCountsDraw, 400, 2);
   prof.record(ProfPhase::kExperimentSetup, 50);
-  prof.add(ProfCounter::kResolveCacheHit, 10);
-  prof.add(ProfCounter::kResolveCacheMiss, 2);
+  prof.add(ProfCounter::kBatchRuns, 2);
+  prof.add(ProfCounter::kBatchWrites, 10);
   prof.set_utilization({ProfWorkerStats{700, 3}, ProfWorkerStats{300, 1}},
                        1200);
 
@@ -186,8 +186,8 @@ TEST(ProfilerTest, JsonRoundTripsThroughProfileReport) {
   EXPECT_EQ(doc.phases[2].parent, "engine.run");
   EXPECT_EQ(doc.phases[2].count, 2u);
   EXPECT_EQ(doc.phases[2].total_ns, 400u);
-  EXPECT_EQ(doc.counter("resolve_cache.hit"), 10u);
-  EXPECT_EQ(doc.counter("resolve_cache.miss"), 2u);
+  EXPECT_EQ(doc.counter("batch.writes"), 10u);
+  EXPECT_EQ(doc.counter("batch.runs"), 2u);
   EXPECT_EQ(doc.counter("buffer.hit"), 0u);  // omitted when zero
   ASSERT_EQ(doc.workers.size(), 2u);
   EXPECT_EQ(doc.workers[0].busy_ns, 700u);

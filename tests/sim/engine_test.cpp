@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "attack/attack.h"
 #include "core/maxwe.h"
@@ -195,6 +198,82 @@ TEST(EngineTest, MaxWeSurvivesLongerThanNoSpareUnderUaa) {
   const auto unprotected = run_with(make_no_spare(map));
   const auto protected_run = run_with(make_maxwe(map, params));
   EXPECT_GT(protected_run.normalized, 2 * unprotected.normalized);
+}
+
+/// Forwards to a real scheme, counts resolve() calls, and answers
+/// resolve_cacheable() as told.
+class CountingSpare final : public SpareScheme {
+ public:
+  CountingSpare(std::unique_ptr<SpareScheme> inner, bool cacheable)
+      : inner_(std::move(inner)), cacheable_(cacheable) {}
+  [[nodiscard]] std::uint64_t working_lines() const override {
+    return inner_->working_lines();
+  }
+  [[nodiscard]] PhysLineAddr working_line(std::uint64_t idx) const override {
+    return inner_->working_line(idx);
+  }
+  PhysLineAddr resolve(std::uint64_t idx) override {
+    ++resolves;
+    return inner_->resolve(idx);
+  }
+  bool on_wear_out(std::uint64_t idx) override {
+    return inner_->on_wear_out(idx);
+  }
+  [[nodiscard]] bool resolve_cacheable() const override { return cacheable_; }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] SpareSchemeStats stats() const override {
+    return inner_->stats();
+  }
+  void reset() override { inner_->reset(); }
+
+  std::uint64_t resolves{0};
+
+ private:
+  std::unique_ptr<SpareScheme> inner_;
+  bool cacheable_;
+};
+
+TEST(EngineTest, ResolveCountFollowsResolveCacheable) {
+  // A scheme that declines resolve_cacheable() is resolved exactly once per
+  // device write on every fast-path source (BPA's stride-0 spans included,
+  // wear-outs and rescues included); one that opts in is resolved once per
+  // entry plus once per rescue. The trajectory is the same either way.
+  std::vector<Endurance> es;
+  for (int r = 0; r < 16; ++r) es.push_back(20.0 * (r + 1));
+  auto map = std::make_shared<EnduranceMap>(DeviceGeometry::scaled(256, 16),
+                                            es);
+  MaxWeParams params;
+  params.spare_fraction = 0.25;
+  params.swr_fraction = 0.5;
+  for (const std::string attack_name : {"bpa", "uaa"}) {
+    auto run_with = [&](bool cacheable, std::uint64_t& resolves) {
+      Device device(map);
+      auto attack = make_attack(attack_name);
+      CountingSpare spare(make_maxwe(map, params), cacheable);
+      NoWearLeveling wl(spare.working_lines());
+      Rng rng(5);
+      Engine engine(device, *attack, wl, spare, rng);
+      const LifetimeResult r = engine.run();
+      resolves = spare.resolves;
+      return r;
+    };
+    std::uint64_t per_write = 0;
+    std::uint64_t shared = 0;
+    const LifetimeResult a = run_with(/*cacheable=*/false, per_write);
+    const LifetimeResult b = run_with(/*cacheable=*/true, shared);
+    ASSERT_TRUE(a.failed) << attack_name;
+    EXPECT_GT(a.line_deaths, 0u) << attack_name;
+    EXPECT_EQ(per_write, a.device_writes) << attack_name;
+    EXPECT_EQ(a.user_writes, b.user_writes) << attack_name;
+    EXPECT_EQ(a.device_writes, b.device_writes) << attack_name;
+    EXPECT_EQ(a.line_deaths, b.line_deaths) << attack_name;
+    EXPECT_EQ(a.failure_reason, b.failure_reason) << attack_name;
+    if (attack_name == "bpa") {
+      EXPECT_LT(shared, per_write / 100) << "a burst shares its resolves";
+    } else {
+      EXPECT_EQ(shared, per_write) << "a sweep writes each entry once";
+    }
+  }
 }
 
 }  // namespace
