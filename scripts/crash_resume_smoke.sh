@@ -62,9 +62,18 @@ fi
 echo "PASS: resumed run is byte-identical to the uninterrupted run"
 
 # ---- sweep-level checkpoints: kill a seed sweep, resume the missing runs --
+# The sweep checkpoint is an append-only MXWEJRNL journal: its 20-byte
+# header lands when the sweep starts and one CRC-framed record per finished
+# run follows, so "a run was recorded" means "the file outgrew its header".
+# Sixteen ~15 ms runs, polled every 10 ms, so the kill lands mid-sweep.
 SWEEP=(--mode stochastic --lines 2048 --regions 128 --endurance-mean 2000
-       --spare maxwe --seed 11 --seeds 4 --jobs 1)
+       --spare maxwe --seed 11 --seeds 16 --jobs 1)
 SWEEP_CKPT=${WORK}/sweep.ckpt
+JOURNAL_HEADER_BYTES=20
+
+file_size() {
+  wc -c < "$1" | tr -d ' '
+}
 
 echo "[sweep 1/3] reference sweep (uninterrupted)..."
 if ! "${TOOL}" "${SWEEP[@]}" > "${WORK}/sweep_ref.out"; then
@@ -76,17 +85,32 @@ echo "[sweep 2/3] checkpointing sweep, SIGKILL after the first recorded run..."
 "${TOOL}" "${SWEEP[@]}" --checkpoint-out "${SWEEP_CKPT}" \
   > "${WORK}/sweep_killed.out" 2>&1 &
 PID=$!
-for _ in $(seq 1 400); do
-  [[ -f ${SWEEP_CKPT} ]] && break
+for _ in $(seq 1 2000); do
+  if [[ -f ${SWEEP_CKPT} ]] && \
+     [[ $(file_size "${SWEEP_CKPT}") -gt ${JOURNAL_HEADER_BYTES} ]]; then
+    break
+  fi
   kill -0 "${PID}" 2>/dev/null || break
-  sleep 0.05
+  sleep 0.01
 done
-kill -KILL "${PID}" 2>/dev/null
+if kill -KILL "${PID}" 2>/dev/null; then
+  echo "      killed pid ${PID}"
+else
+  echo "      note: sweep finished before the kill landed (still a valid resume)"
+fi
 wait "${PID}" 2>/dev/null
-if [[ ! -f ${SWEEP_CKPT} ]]; then
-  echo "FAIL: no sweep checkpoint was written before the process died" >&2
+if [[ ! -f ${SWEEP_CKPT} ]] || \
+   [[ $(file_size "${SWEEP_CKPT}") -le ${JOURNAL_HEADER_BYTES} ]]; then
+  echo "FAIL: no sweep run was recorded before the process died" >&2
   exit 1
 fi
+if ! head -c 8 "${SWEEP_CKPT}" | grep -q "MXWEJRNL"; then
+  echo "FAIL: sweep checkpoint does not carry the MXWEJRNL journal magic" >&2
+  exit 1
+fi
+# A SIGKILL mid-append leaves half a record; simulate the worst case by
+# splicing garbage after the last good record. Resume must truncate it.
+printf '\x40\x00\x00\x00TORN-TAIL-GARBAGE' >> "${SWEEP_CKPT}"
 
 echo "[sweep 3/3] resume the sweep (recorded runs are skipped)..."
 if ! "${TOOL}" "${SWEEP[@]}" --checkpoint-out "${SWEEP_CKPT}" --resume \

@@ -28,7 +28,7 @@
 // engine's user-write clock; the engine caps batches at the boundary the
 // same way it does for checkpoints and snapshots, which is what makes
 // alarm transitions land at identical write counts at any --jobs and
-// across crash/resume (state rides the MXWECKPT payload via save_state).
+// across crash/resume (state rides the engine checkpoint via save_state).
 #pragma once
 
 #include <cstdint>

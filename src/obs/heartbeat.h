@@ -25,7 +25,7 @@
 // checkpoint_bytes_written whenever the campaign runs without a journal.
 // Fields that are present keep their v2 name, position and meaning.
 // checkpoint_bytes_written is the cumulative bytes this process has
-// appended to the fleet shard journal (sim/fleet_journal.h) — the
+// appended to the fleet shard journal (sim/journal.h) — the
 // campaign's checkpoint-write cost, which stays O(total shard state) where
 // the old full-rewrite mirror was quadratic.
 //

@@ -13,7 +13,7 @@
 #include "obs/profiler.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
-#include "sim/checkpoint.h"
+#include "sim/journal.h"
 #include "sim/wear_report.h"
 
 namespace nvmsec {
@@ -105,11 +105,11 @@ void Engine::save_checkpoint() {
     obs_.events->flush();
   }
   StateWriter w;
-  w.u64(fingerprint_);
   capture_state(w);
   // A failed checkpoint write aborts the run loudly: silently continuing
   // would let the user believe the run is resumable when it is not.
-  save_checkpoint_file(checkpoint_path_, w.take()).throw_if_error();
+  Journal::write_snapshot(checkpoint_path_, fingerprint_, w.buffer())
+      .throw_if_error();
 }
 
 Status Engine::restore_state(StateReader& r) {

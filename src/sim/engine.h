@@ -61,9 +61,10 @@ class Engine {
 
   /// Enable periodic checkpointing: every `interval` user writes the full
   /// engine + component state is serialized and atomically written to
-  /// `path` (temp file + rename, so a crash never leaves a torn file).
-  /// `fingerprint` identifies the configuration and is embedded in the
-  /// payload; resume refuses a checkpoint from a different config.
+  /// `path` as a one-record journal (sim/journal.h; temp file + rename, so
+  /// a crash never leaves a torn file). `fingerprint` identifies the
+  /// configuration and goes into the file header; resume refuses a
+  /// checkpoint from a different config.
   void set_checkpointing(std::string path, WriteCount interval,
                          std::uint64_t fingerprint);
 
@@ -86,8 +87,9 @@ class Engine {
 
   /// Restore mid-run state from a checkpoint payload (Engine::run resumes
   /// from the restored write counts). The caller has already validated the
-  /// container CRC and the config fingerprint; this reads the progress
-  /// counters and every component's state in the fixed save order.
+  /// record CRC and the config fingerprint (Journal::read_snapshot); this
+  /// reads the progress counters and every component's state in the fixed
+  /// save order.
   [[nodiscard]] Status restore_state(StateReader& r);
 
   /// Run until device failure, or until `max_user_writes` user writes if

@@ -16,10 +16,10 @@
 #include "spare/freep.h"
 #include "nvm/device.h"
 #include "sim/bit_engine.h"
-#include "sim/checkpoint.h"
 #include "sim/endurance_cache.h"
 #include "sim/engine.h"
 #include "sim/event_sim.h"
+#include "sim/journal.h"
 #include "spare/spare_scheme.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -512,18 +512,11 @@ LifetimeResult run_experiment(const ExperimentConfig& config,
                              config_fingerprint(config));
   }
   if (!config.resume_from.empty()) {
-    Result<std::vector<std::uint8_t>> payload =
-        load_checkpoint_file(config.resume_from);
-    payload.status().throw_if_error();
-    StateReader r(payload.value());
-    std::uint64_t fp = 0;
-    r.u64(fp).throw_if_error();
-    if (fp != config_fingerprint(config)) {
-      Status::failed_precondition(
-          "checkpoint '" + config.resume_from +
-          "' was written by a different configuration; refusing to resume")
-          .throw_if_error();
-    }
+    const std::vector<std::uint8_t> state =
+        Journal::read_snapshot(config.resume_from, config_fingerprint(config),
+                               "configuration")
+            .take();
+    StateReader r(state);
     engine.restore_state(r).throw_if_error();
   }
   setup_span.reset();

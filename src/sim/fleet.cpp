@@ -12,7 +12,7 @@
 #include "obs/json_parse.h"
 #include "obs/profiler.h"
 #include "sim/endurance_cache.h"
-#include "sim/fleet_journal.h"
+#include "sim/journal.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 #include "util/thread_pool.h"
@@ -125,7 +125,7 @@ Status ExemplarSet::load_state(StateReader& r) {
   if (capacity == 0) return Status::corruption("ExemplarSet: zero capacity");
   if (Status st = r.boolean(keep_lowest_); !st.ok()) return st;
   std::uint64_t n = 0;
-  if (Status st = r.u64(n); !st.ok()) return st;
+  if (Status st = r.count(n, 16); !st.ok()) return st;
   if (n > capacity) {
     return Status::corruption("ExemplarSet: more items than capacity");
   }
@@ -449,12 +449,12 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
   }
   bool journal_exists = false;
   if (options.resume) {
-    Result<std::vector<FleetJournalRecord>> replayed =
-        FleetJournal::replay(options.checkpoint_path, fingerprint);
+    Result<std::vector<JournalRecord>> replayed = Journal::replay(
+        options.checkpoint_path, fingerprint, "population spec");
     if (replayed.ok()) {
       journal_exists = true;
-      for (const FleetJournalRecord& rec : replayed.value()) {
-        if (rec.shard_index >= num_shards) {
+      for (const JournalRecord& rec : replayed.value()) {
+        if (rec.key >= num_shards) {
           throw std::runtime_error(
               "run_fleet: journal shard index out of range");
         }
@@ -464,14 +464,14 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
         FleetAggregate agg;
         StateReader shard_reader(rec.payload);
         agg.load_state(shard_reader).throw_if_error();
-        shard_aggs[rec.shard_index] = std::move(agg);
-        done[rec.shard_index] = 1;
+        shard_aggs[rec.key] = std::move(agg);
+        done[rec.key] = 1;
       }
     } else if (replayed.status().code() != StatusCode::kNotFound) {
       replayed.status().throw_if_error();
     }
   }
-  FleetJournal journal;
+  Journal journal;
   if (!options.checkpoint_path.empty()) {
     // Fresh campaigns (and resumes that found no file) start a new journal;
     // a replayed journal is extended in place — its torn tail, if any, was

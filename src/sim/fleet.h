@@ -17,7 +17,7 @@
 //   - Completed shards merge into the final aggregate in shard-index
 //     order, so the fleet result is bit-identical at every --jobs level.
 //   - Each completed shard's aggregate is canonicalized (compressed) and
-//     appended to a MXWEJRNL shard journal (sim/fleet_journal.h); a
+//     appended to a MXWEJRNL shard journal (sim/journal.h); a
 //     SIGKILLed campaign resumes by replaying the journal, re-running only
 //     the missing shards, and produces a byte-identical fleet result.
 //
@@ -209,7 +209,7 @@ struct FleetOptions {
   bool use_cache{true};
   EnduranceMapCache* cache{nullptr};
   /// Crash safety: append every completed shard's aggregate to this
-  /// MXWEJRNL journal file (sim/fleet_journal.h; O(shard) bytes per
+  /// MXWEJRNL journal file (sim/journal.h; O(shard) bytes per
   /// completion, torn tails self-heal on replay). Empty disables.
   std::string checkpoint_path;
   /// Replay completed shards from checkpoint_path and run only the rest.

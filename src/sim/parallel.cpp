@@ -7,8 +7,8 @@
 
 #include "obs/observer.h"
 #include "obs/profiler.h"
-#include "sim/checkpoint.h"
 #include "sim/endurance_cache.h"
+#include "sim/journal.h"
 #include "util/serialize.h"
 #include "util/thread_pool.h"
 
@@ -81,69 +81,73 @@ Status load_result(StateReader& r, LifetimeResult& out) {
   return r.u64(out.cadence_changes);
 }
 
-/// Tracks which runs of a sweep have finished and mirrors them to a
-/// checkpoint file after every completion (atomic rewrite, so a SIGKILL at
-/// any moment leaves a loadable file covering every finished run).
+/// Tracks which runs of a sweep have finished and appends one journal
+/// record per completion (key = run index, payload = config fingerprint +
+/// result), so a SIGKILL at any moment loses at most the run whose record
+/// was being written.
 class SweepCheckpoint {
  public:
-  SweepCheckpoint(std::string path, std::span<const ExperimentConfig> configs,
+  SweepCheckpoint(std::span<const ExperimentConfig> configs,
                   std::vector<LifetimeResult>& results)
-      : path_(std::move(path)), results_(results), done_(configs.size(), 0) {
+      : results_(results), done_(configs.size(), 0) {
     fingerprints_.reserve(configs.size());
     for (const ExperimentConfig& c : configs) {
       fingerprints_.push_back(config_fingerprint(c));
     }
   }
 
-  /// Load previously finished runs; missing file = fresh start. Records
-  /// whose fingerprint does not match the current config are re-run.
-  void resume() {
-    Result<std::vector<std::uint8_t>> payload = load_checkpoint_file(path_);
-    if (!payload.ok() && payload.status().code() == StatusCode::kNotFound) {
-      return;
-    }
-    payload.status().throw_if_error();
-    StateReader r(payload.value());
-    std::uint64_t count = 0;
-    r.u64(count).throw_if_error();
-    for (std::uint64_t k = 0; k < count; ++k) {
-      std::uint64_t index = 0;
-      std::uint64_t fingerprint = 0;
-      LifetimeResult result;
-      r.u64(index).throw_if_error();
-      r.u64(fingerprint).throw_if_error();
-      load_result(r, result).throw_if_error();
-      if (index < done_.size() && fingerprint == fingerprints_[index]) {
-        results_[index] = result;
-        done_[index] = 1;
+  /// Open the journal at `path`. With `resume`, first replay it (missing
+  /// file = fresh start) and prefill the runs it records; records whose
+  /// config fingerprint does not match the current config at that index
+  /// are re-run. Called before any worker starts.
+  void open(const std::string& path, bool resume) {
+    bool replayed_file = false;
+    if (resume) {
+      Result<std::vector<JournalRecord>> replayed =
+          Journal::replay(path, kSweepJournalFingerprint, "kind of run");
+      if (replayed.ok()) {
+        replayed_file = true;
+        for (const JournalRecord& rec : replayed.value()) prefill(rec);
+      } else if (replayed.status().code() != StatusCode::kNotFound) {
+        replayed.status().throw_if_error();
       }
     }
+    journal_.open(path, kSweepJournalFingerprint, !replayed_file)
+        .throw_if_error();
   }
 
   [[nodiscard]] bool is_done(std::size_t i) const { return done_[i] != 0; }
 
-  /// Mark run `i` finished and rewrite the checkpoint file. Thread-safe.
+  /// Append run `i`'s finished result. Thread-safe.
   void record(std::size_t i) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    done_[i] = 1;
     StateWriter w;
-    std::uint64_t count = 0;
-    for (char d : done_) count += d != 0 ? 1 : 0;
-    w.u64(count);
-    for (std::size_t k = 0; k < done_.size(); ++k) {
-      if (done_[k] == 0) continue;
-      w.u64(k);
-      w.u64(fingerprints_[k]);
-      save_result(w, results_[k]);
-    }
-    save_checkpoint_file(path_, w.take()).throw_if_error();
+    w.u64(fingerprints_[i]);
+    save_result(w, results_[i]);
+    const std::lock_guard<std::mutex> lock(mu_);
+    journal_.append(i, w.buffer()).throw_if_error();
   }
 
  private:
-  std::string path_;
+  void prefill(const JournalRecord& rec) {
+    StateReader r(rec.payload);
+    std::uint64_t fingerprint = 0;
+    LifetimeResult result;
+    r.u64(fingerprint).throw_if_error();
+    load_result(r, result).throw_if_error();
+    if (!r.exhausted()) {
+      Status::corruption("sweep checkpoint record has trailing bytes")
+          .throw_if_error();
+    }
+    if (rec.key < done_.size() && fingerprint == fingerprints_[rec.key]) {
+      results_[rec.key] = std::move(result);
+      done_[rec.key] = 1;
+    }
+  }
+
   std::vector<LifetimeResult>& results_;
   std::vector<char> done_;
   std::vector<std::uint64_t> fingerprints_;
+  Journal journal_;
   std::mutex mu_;
 };
 
@@ -157,9 +161,8 @@ std::vector<LifetimeResult> run_experiments(
 
   std::unique_ptr<SweepCheckpoint> checkpoint;
   if (!options.checkpoint_path.empty()) {
-    checkpoint = std::make_unique<SweepCheckpoint>(options.checkpoint_path,
-                                                   configs, results);
-    if (options.resume) checkpoint->resume();
+    checkpoint = std::make_unique<SweepCheckpoint>(configs, results);
+    checkpoint->open(options.checkpoint_path, options.resume);
   } else if (options.resume) {
     throw std::invalid_argument(
         "run_experiments: resume needs a checkpoint_path to resume from");

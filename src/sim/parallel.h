@@ -30,6 +30,13 @@ namespace nvmsec {
 class EnduranceMapCache;
 class Profiler;
 
+/// Header fingerprint of sweep checkpoint journals (sim/journal.h). Each
+/// record carries its own run's config fingerprint, so a config change
+/// re-runs only that run; the header just marks the file as a sweep
+/// checkpoint, which keeps engine checkpoints and fleet journals from being
+/// mistaken for one.
+inline constexpr std::uint64_t kSweepJournalFingerprint = 0x53574545504A524EULL;
+
 struct ParallelOptions {
   /// Worker threads doing experiment work. 0 = all hardware threads
   /// (ThreadPool::hardware_workers()). 1 = strictly serial on the calling
@@ -42,10 +49,10 @@ struct ParallelOptions {
   /// Cache to use; nullptr = the process-global EnduranceMapCache.
   EnduranceMapCache* cache{nullptr};
 
-  /// Sweep-level crash safety: after every completed run, atomically
-  /// rewrite this file with all finished (index, fingerprint, result)
-  /// records. Empty disables. Independent of — and composable with — the
-  /// per-run engine checkpoints in ExperimentConfig.
+  /// Sweep-level crash safety: after every completed run, append one
+  /// (index, config fingerprint, result) record to this journal file
+  /// (sim/journal.h). Empty disables. Independent of — and composable
+  /// with — the per-run engine checkpoints in ExperimentConfig.
   std::string checkpoint_path;
   /// Prefill results from checkpoint_path (when the file exists) and skip
   /// the runs already recorded there. A record whose config fingerprint no

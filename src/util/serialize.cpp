@@ -52,25 +52,18 @@ Status StateReader::boolean(bool& out) {
   return Status{};
 }
 
-namespace {
-
-// Container counts are attacker-/corruption-controlled; cap any single
-// allocation at what the remaining buffer could actually hold.
-Status check_count(std::uint64_t count, std::size_t elem_size,
-                   std::size_t remaining) {
-  if (elem_size > 0 && count > remaining / elem_size) {
-    return Status::corruption("container count " + std::to_string(count) +
-                              " exceeds remaining buffer");
+Status StateReader::count(std::uint64_t& n, std::size_t elem_size) {
+  if (Status s = u64(n); !s.ok()) return s;
+  if (n > remaining() / elem_size) {
+    return status_ = Status::corruption(
+        "container count " + std::to_string(n) + " exceeds remaining buffer");
   }
   return Status{};
 }
 
-}  // namespace
-
 Status StateReader::str(std::string& out) {
   std::uint64_t n = 0;
-  if (Status s = u64(n); !s.ok()) return s;
-  if (Status s = check_count(n, 1, remaining()); !s.ok()) return status_ = s;
+  if (Status s = count(n, 1); !s.ok()) return s;
   const std::uint8_t* p = nullptr;
   if (Status s = take(static_cast<std::size_t>(n), p); !s.ok()) return s;
   out.assign(reinterpret_cast<const char*>(p), static_cast<std::size_t>(n));
@@ -79,8 +72,7 @@ Status StateReader::str(std::string& out) {
 
 Status StateReader::vec_u32(std::vector<std::uint32_t>& out) {
   std::uint64_t n = 0;
-  if (Status s = u64(n); !s.ok()) return s;
-  if (Status s = check_count(n, 4, remaining()); !s.ok()) return status_ = s;
+  if (Status s = count(n, 4); !s.ok()) return s;
   out.resize(static_cast<std::size_t>(n));
   for (auto& x : out) {
     if (Status s = u32(x); !s.ok()) return s;
@@ -90,8 +82,7 @@ Status StateReader::vec_u32(std::vector<std::uint32_t>& out) {
 
 Status StateReader::vec_u64(std::vector<std::uint64_t>& out) {
   std::uint64_t n = 0;
-  if (Status s = u64(n); !s.ok()) return s;
-  if (Status s = check_count(n, 8, remaining()); !s.ok()) return status_ = s;
+  if (Status s = count(n, 8); !s.ok()) return s;
   out.resize(static_cast<std::size_t>(n));
   for (auto& x : out) {
     if (Status s = u64(x); !s.ok()) return s;
@@ -101,8 +92,7 @@ Status StateReader::vec_u64(std::vector<std::uint64_t>& out) {
 
 Status StateReader::vec_bool(std::vector<bool>& out) {
   std::uint64_t n = 0;
-  if (Status s = u64(n); !s.ok()) return s;
-  if (Status s = check_count(n, 1, remaining()); !s.ok()) return status_ = s;
+  if (Status s = count(n, 1); !s.ok()) return s;
   out.assign(static_cast<std::size_t>(n), false);
   for (std::size_t i = 0; i < out.size(); ++i) {
     std::uint8_t v = 0;
@@ -114,8 +104,7 @@ Status StateReader::vec_bool(std::vector<bool>& out) {
 
 Status StateReader::bytes(std::vector<std::uint8_t>& out) {
   std::uint64_t n = 0;
-  if (Status s = u64(n); !s.ok()) return s;
-  if (Status s = check_count(n, 1, remaining()); !s.ok()) return status_ = s;
+  if (Status s = count(n, 1); !s.ok()) return s;
   const std::uint8_t* p = nullptr;
   if (Status s = take(static_cast<std::size_t>(n), p); !s.ok()) return s;
   out.assign(p, p + n);

@@ -76,6 +76,11 @@ class StateReader {
   Status vec_u64(std::vector<std::uint64_t>& out);
   Status vec_bool(std::vector<bool>& out);
   Status bytes(std::vector<std::uint8_t>& out);
+  /// Reads a container's element count and fails with corruption when the
+  /// rest of the buffer cannot hold that many `elem_size`-byte elements.
+  /// Counts are corruption-controlled: loaders call this before allocating
+  /// for them.
+  Status count(std::uint64_t& n, std::size_t elem_size);
 
   /// First error encountered so far (ok while healthy).
   [[nodiscard]] Status status() const { return status_; }

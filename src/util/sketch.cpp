@@ -175,7 +175,7 @@ Status QuantileSketch::load_state(StateReader& r) {
   if (Status st = r.f64(min_); !st.ok()) return st;
   if (Status st = r.f64(max_); !st.ok()) return st;
   std::uint64_t n = 0;
-  if (Status st = r.u64(n); !st.ok()) return st;
+  if (Status st = r.count(n, 16); !st.ok()) return st;
   std::vector<Centroid> centroids;
   std::uint64_t weight_sum = 0;
   centroids.reserve(n);
@@ -312,7 +312,7 @@ Status StreamingHistogram::load_state(StateReader& r) {
   std::uint64_t buckets = 0;
   if (Status st = r.f64(lo); !st.ok()) return st;
   if (Status st = r.f64(growth); !st.ok()) return st;
-  if (Status st = r.u64(buckets); !st.ok()) return st;
+  if (Status st = r.count(buckets, 8); !st.ok()) return st;
   if (!(lo > 0.0) || !(growth > 1.0) || buckets == 0) {
     return Status::corruption("StreamingHistogram: invalid layout");
   }
@@ -418,7 +418,7 @@ Status WeightedReservoir::load_state(StateReader& r) {
   if (Status st = r.u64(salt_); !st.ok()) return st;
   if (Status st = r.u64(seen_); !st.ok()) return st;
   std::uint64_t n = 0;
-  if (Status st = r.u64(n); !st.ok()) return st;
+  if (Status st = r.count(n, 24); !st.ok()) return st;
   if (n > capacity) {
     return Status::corruption("WeightedReservoir: more items than capacity");
   }

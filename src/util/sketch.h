@@ -11,8 +11,10 @@
 //      which is why the fleet runner always merges shards in shard-index
 //      order.
 //   2. Serializable via StateWriter/StateReader, so per-shard sketch state
-//      rides the MXWECKPT checkpoint container and a resumed campaign
-//      produces bit-identical aggregates.
+//      rides the fleet's journal records (sim/journal.h) and a resumed
+//      campaign produces bit-identical aggregates. Loaders bound every
+//      declared count by the bytes left, so a malformed record is a
+//      corruption Status, never a huge allocation.
 //   3. Deterministic: no wall-clock, no platform-dependent libm calls on
 //      the default paths, no unordered containers — the same input stream
 //      yields the same bytes everywhere.

@@ -1,20 +1,28 @@
-#include "sim/checkpoint.h"
-
+// Engine checkpoints (one-record journal files written through the
+// snapshot policy), bit-identical resume, and sweep checkpoints (one
+// appended record per finished run), including the refusal of every file
+// kind where another is expected.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "sim/experiment.h"
+#include "sim/fleet.h"
+#include "sim/journal.h"
 #include "sim/parallel.h"
 
 namespace nvmsec {
 namespace {
 
 namespace fs = std::filesystem;
+
+constexpr std::uint64_t kFingerprint = 0x5EEDC0DEULL;
+constexpr const char* kSubject = "configuration";
 
 std::vector<std::uint8_t> sample_payload() {
   std::vector<std::uint8_t> payload;
@@ -34,46 +42,50 @@ std::string slurp(const std::string& path) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
+Result<std::vector<std::uint8_t>> load(const std::string& path) {
+  return Journal::read_snapshot(path, kFingerprint, kSubject);
+}
+
 TEST(CheckpointFileTest, RoundTripsPayload) {
   const std::string path = ::testing::TempDir() + "/ckpt_roundtrip.bin";
   const std::vector<std::uint8_t> payload = sample_payload();
-  ASSERT_TRUE(save_checkpoint_file(path, payload).ok());
-  EXPECT_EQ(load_checkpoint_file(path).take(), payload);
+  ASSERT_TRUE(Journal::write_snapshot(path, kFingerprint, payload).ok());
+  EXPECT_EQ(load(path).take(), payload);
 }
 
 TEST(CheckpointFileTest, RoundTripsEmptyPayload) {
   const std::string path = ::testing::TempDir() + "/ckpt_empty.bin";
-  ASSERT_TRUE(save_checkpoint_file(path, {}).ok());
-  EXPECT_TRUE(load_checkpoint_file(path).take().empty());
+  ASSERT_TRUE(Journal::write_snapshot(path, kFingerprint, {}).ok());
+  EXPECT_TRUE(load(path).take().empty());
 }
 
 TEST(CheckpointFileTest, MissingFileIsNotFound) {
   const Result<std::vector<std::uint8_t>> r =
-      load_checkpoint_file(::testing::TempDir() + "/ckpt_missing.bin");
+      load(::testing::TempDir() + "/ckpt_missing.bin");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
 TEST(CheckpointFileTest, BadMagicIsCorruption) {
   const std::string path = write_raw("ckpt_magic.bin", "NOTACKPTxxxxxxxxxxxx");
-  const Result<std::vector<std::uint8_t>> r = load_checkpoint_file(path);
+  const Result<std::vector<std::uint8_t>> r = load(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
   EXPECT_NE(r.status().message().find("bad magic"), std::string::npos);
 }
 
 TEST(CheckpointFileTest, WrongVersionIsVersionMismatch) {
-  std::string bytes(kCheckpointMagic, sizeof(kCheckpointMagic));
+  std::string bytes(kJournalMagic, sizeof(kJournalMagic));
   // One past the current version, little-endian.
-  const std::uint32_t wrong = kCheckpointVersion + 1;
+  const std::uint32_t wrong = kJournalVersion + 1;
   bytes += std::string{static_cast<char>(wrong & 0xff),
                        static_cast<char>((wrong >> 8) & 0xff),
                        static_cast<char>((wrong >> 16) & 0xff),
                        static_cast<char>((wrong >> 24) & 0xff)};
-  bytes += std::string(8, '\x00');  // zero payload size
-  bytes += std::string(4, '\x00');  // (wrong) CRC
+  bytes += std::string(8, '\x00');   // fingerprint
+  bytes += std::string(16, '\x00');  // an empty record with a (wrong) CRC
   const std::string path = write_raw("ckpt_version.bin", bytes);
-  const Result<std::vector<std::uint8_t>> r = load_checkpoint_file(path);
+  const Result<std::vector<std::uint8_t>> r = load(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kVersionMismatch);
   EXPECT_NE(r.status().message().find("version " + std::to_string(wrong)),
@@ -82,11 +94,12 @@ TEST(CheckpointFileTest, WrongVersionIsVersionMismatch) {
 
 TEST(CheckpointFileTest, TruncatedPayloadIsRejected) {
   const std::string path = ::testing::TempDir() + "/ckpt_trunc.bin";
-  ASSERT_TRUE(save_checkpoint_file(path, sample_payload()).ok());
+  ASSERT_TRUE(
+      Journal::write_snapshot(path, kFingerprint, sample_payload()).ok());
   std::string bytes = slurp(path);
   bytes.resize(bytes.size() - 10);
   const std::string cut = write_raw("ckpt_trunc_cut.bin", bytes);
-  const Result<std::vector<std::uint8_t>> r = load_checkpoint_file(cut);
+  const Result<std::vector<std::uint8_t>> r = load(cut);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
   EXPECT_NE(r.status().message().find("truncated"), std::string::npos);
@@ -94,11 +107,12 @@ TEST(CheckpointFileTest, TruncatedPayloadIsRejected) {
 
 TEST(CheckpointFileTest, FlippedPayloadByteIsCrcCorruption) {
   const std::string path = ::testing::TempDir() + "/ckpt_crc.bin";
-  ASSERT_TRUE(save_checkpoint_file(path, sample_payload()).ok());
+  ASSERT_TRUE(
+      Journal::write_snapshot(path, kFingerprint, sample_payload()).ok());
   std::string bytes = slurp(path);
-  bytes[25] = static_cast<char>(bytes[25] ^ 0x40);  // inside the payload
+  bytes[40] = static_cast<char>(bytes[40] ^ 0x40);  // inside the payload
   const std::string bad = write_raw("ckpt_crc_bad.bin", bytes);
-  const Result<std::vector<std::uint8_t>> r = load_checkpoint_file(bad);
+  const Result<std::vector<std::uint8_t>> r = load(bad);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
   EXPECT_NE(r.status().message().find("CRC"), std::string::npos);
@@ -271,6 +285,168 @@ TEST(SweepCheckpointTest, MissingCheckpointFileIsAFreshStart) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].failed);
   EXPECT_TRUE(fs::exists(path));
+}
+
+std::vector<ExperimentConfig> seed_sweep(std::uint64_t runs) {
+  std::vector<ExperimentConfig> configs;
+  for (std::uint64_t seed = 1; seed <= runs; ++seed) {
+    ExperimentConfig c = maxwe_config();
+    c.seed = seed;
+    configs.push_back(c);
+  }
+  return configs;
+}
+
+void expect_same_results(const std::vector<LifetimeResult>& a,
+                         const std::vector<LifetimeResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_DOUBLE_EQ(a[i].user_writes, b[i].user_writes) << "run " << i;
+    EXPECT_EQ(a[i].device_writes, b[i].device_writes) << "run " << i;
+    EXPECT_EQ(a[i].line_deaths, b[i].line_deaths) << "run " << i;
+    EXPECT_DOUBLE_EQ(a[i].normalized, b[i].normalized) << "run " << i;
+    EXPECT_DOUBLE_EQ(a[i].wear_gini, b[i].wear_gini) << "run " << i;
+    EXPECT_EQ(a[i].failure_reason, b[i].failure_reason) << "run " << i;
+  }
+}
+
+TEST(SweepCheckpointTest, ParallelSweepAppendsOneRecordPerRun) {
+  const std::string path = ::testing::TempDir() + "/sweep_parallel.jrnl";
+  fs::remove(path);
+  const std::vector<ExperimentConfig> configs = seed_sweep(6);
+  ParallelOptions options;
+  options.jobs = 4;
+  options.checkpoint_path = path;
+  const std::vector<LifetimeResult> results =
+      run_experiments(configs, options);
+
+  // Header plus exactly one record per run, each keyed by its run index
+  // and carrying that run's config fingerprint (records land in completion
+  // order, so compare as a set).
+  auto records =
+      Journal::replay(path, kSweepJournalFingerprint, "kind of run");
+  ASSERT_TRUE(records.ok()) << records.status().to_string();
+  ASSERT_EQ(records.value().size(), configs.size());
+  std::vector<int> seen(configs.size(), 0);
+  std::uintmax_t framed_bytes = 20;
+  for (const JournalRecord& rec : records.value()) {
+    ASSERT_LT(rec.key, configs.size());
+    ++seen[rec.key];
+    StateReader r(rec.payload);
+    std::uint64_t fingerprint = 0;
+    ASSERT_TRUE(r.u64(fingerprint).ok());
+    EXPECT_EQ(fingerprint, config_fingerprint(configs[rec.key]));
+    framed_bytes += 16 + rec.payload.size();
+  }
+  EXPECT_EQ(seen, std::vector<int>(configs.size(), 1));
+  EXPECT_EQ(fs::file_size(path), framed_bytes);
+
+  // A jobs=1 resume replays every run from the file and appends nothing.
+  const std::string before = slurp(path);
+  options.jobs = 1;
+  options.resume = true;
+  expect_same_results(run_experiments(configs, options), results);
+  EXPECT_EQ(slurp(path), before);
+}
+
+TEST(SweepCheckpointTest, TornTailIsTruncatedOnResume) {
+  const std::string path = ::testing::TempDir() + "/sweep_torn.jrnl";
+  fs::remove(path);
+  const std::vector<ExperimentConfig> configs = seed_sweep(3);
+  ParallelOptions options;
+  options.jobs = 1;
+  options.checkpoint_path = path;
+  const std::vector<LifetimeResult> first = run_experiments(configs, options);
+  const std::string good = slurp(path);
+
+  // A SIGKILL mid-append leaves half a record after the last good one.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out << std::string("\x40\x00\x00\x00TORN-TAIL-GARBAGE", 21);
+  }
+  options.resume = true;
+  expect_same_results(run_experiments(configs, options), first);
+  EXPECT_EQ(slurp(path), good);
+}
+
+TEST(SweepCheckpointTest, EveryFileKindRefusesTheOthers) {
+  const std::string dir = ::testing::TempDir();
+  const std::string engine_path = dir + "/kinds_engine.ckpt";
+  const std::string sweep_path = dir + "/kinds_sweep.jrnl";
+  const std::string fleet_path = dir + "/kinds_fleet.jrnl";
+  const std::string legacy_path =
+      write_raw("kinds_legacy.ckpt", "MXWECKPT" + std::string(32, '\0'));
+  for (const std::string& p : {engine_path, sweep_path, fleet_path}) {
+    fs::remove(p);
+  }
+
+  ExperimentConfig engine = maxwe_config();
+  engine.checkpoint_out = engine_path;
+  engine.checkpoint_interval = 1000;
+  engine.max_user_writes = 2500;
+  run_experiment(engine);
+
+  const std::vector<ExperimentConfig> sweep = seed_sweep(2);
+  ParallelOptions sweep_options;
+  sweep_options.jobs = 1;
+  sweep_options.checkpoint_path = sweep_path;
+  run_experiments(sweep, sweep_options);
+
+  FleetSpec spec;
+  spec.devices = 8;
+  spec.shard_size = 4;
+  spec.base.geometry = DeviceGeometry::scaled(256, 16);
+  spec.base.endurance.endurance_at_mean = 200;
+  spec.base.spare_scheme = "maxwe";
+  FleetOptions fleet_options;
+  fleet_options.checkpoint_path = fleet_path;
+  (void)run_fleet(spec, fleet_options);
+
+  // Each refusal is a Status error (carried by the exception the runner
+  // throws) and leaves the refused file as it was.
+  const auto expect_refused = [](const std::string& path, const auto& resume,
+                                 const std::string& status,
+                                 const std::string& reason) {
+    const std::string before = slurp(path);
+    try {
+      resume(path);
+      ADD_FAILURE() << "resume accepted " << path;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(status, 0), 0u) << what;
+      EXPECT_NE(what.find(reason), std::string::npos) << what;
+    }
+    EXPECT_EQ(slurp(path), before) << path;
+  };
+  const auto resume_engine = [](const std::string& path) {
+    ExperimentConfig c = maxwe_config();
+    c.resume_from = path;
+    run_experiment(c);
+  };
+  const auto resume_sweep = [&sweep](const std::string& path) {
+    ParallelOptions o;
+    o.jobs = 1;
+    o.checkpoint_path = path;
+    o.resume = true;
+    run_experiments(sweep, o);
+  };
+  const auto resume_fleet = [&spec](const std::string& path) {
+    FleetOptions o;
+    o.checkpoint_path = path;
+    o.resume = true;
+    (void)run_fleet(spec, o);
+  };
+  const std::string foreign = "failed precondition: ";
+  expect_refused(sweep_path, resume_engine, foreign, "different configuration");
+  expect_refused(fleet_path, resume_engine, foreign, "different configuration");
+  expect_refused(engine_path, resume_sweep, foreign, "different kind of run");
+  expect_refused(fleet_path, resume_sweep, foreign, "different kind of run");
+  expect_refused(engine_path, resume_fleet, foreign, "different population");
+  expect_refused(sweep_path, resume_fleet, foreign, "different population");
+  // Pre-journal MXWECKPT files, engine or sweep, are refused by name.
+  const std::string legacy = "version mismatch: ";
+  expect_refused(legacy_path, resume_engine, legacy, "MXWECKPT");
+  expect_refused(legacy_path, resume_sweep, legacy, "MXWECKPT");
 }
 
 }  // namespace

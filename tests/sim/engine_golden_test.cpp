@@ -10,7 +10,7 @@
 //   * every LifetimeResult field (doubles by their bit pattern),
 //   * the decision event-log bytes,
 //   * the wear-snapshot series (snapshot cells), and
-//   * the final checkpoint file (checkpointing cells),
+//   * the engine state held by the final checkpoint (checkpointing cells),
 // and compared with the table below.
 //
 // Re-pinning a cell is a contract change: say which cells moved and why.
@@ -25,7 +25,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -35,6 +34,7 @@
 #include "obs/event_log.h"
 #include "obs/snapshot.h"
 #include "sim/experiment.h"
+#include "sim/journal.h"
 
 namespace nvmsec {
 namespace {
@@ -622,10 +622,10 @@ constexpr Golden kGolden[] = {
     {"hotspot8/wawl/ps-worst/slow", 0xf4b3e96f890ee0b2ULL},
     {"hotspot8/wawl/ps/fast", 0x79414582e979cf96ULL},
     {"hotspot8/wawl/ps/slow", 0x79414582e979cf96ULL},
-    {"side/checkpoint-uaa/fast", 0xfe0940ece1da0800ULL},
-    {"side/checkpoint-uaa/slow", 0xfe0940ece1da0800ULL},
-    {"side/checkpoint-zipf/fast", 0x5c1e73d81566d2a0ULL},
-    {"side/checkpoint-zipf/slow", 0x71f39c6d94f14c91ULL},
+    {"side/checkpoint-uaa/fast", 0xad6ce50a8d063855ULL},
+    {"side/checkpoint-uaa/slow", 0xad6ce50a8d063855ULL},
+    {"side/checkpoint-zipf/fast", 0x9f950dbc8e7642bbULL},
+    {"side/checkpoint-zipf/slow", 0x15dcb7c0ff6f2621ULL},
     {"side/device-faults/fast", 0x21a94916c5e438dcULL},
     {"side/device-faults/slow", 0x21a94916c5e438dcULL},
     {"side/dram-buffer/fast", 0x2fee882c038649dfULL},
@@ -683,13 +683,6 @@ void digest_result(Fnv1a& h, const LifetimeResult& r) {
   h.u64(r.cadence_changes);
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 /// The equivalence grid's base configuration.
 ExperimentConfig base_config() {
   ExperimentConfig config = scaled_stochastic_config(256, 16, 300.0);
@@ -701,7 +694,9 @@ ExperimentConfig base_config() {
 
 /// Runs one cell and digests everything it produced. `snapshot_interval`
 /// attaches a snapshot emitter; a non-zero `checkpoint_interval` writes
-/// checkpoints to a per-cell temp file whose final bytes are digested.
+/// checkpoints to a per-cell temp file whose final engine state is
+/// digested (the record payload, so the digest pins the state and not the
+/// file framing around it).
 std::uint64_t run_cell(ExperimentConfig config, const std::string& cell,
                        WriteCount snapshot_interval = 0,
                        WriteCount checkpoint_interval = 0) {
@@ -734,9 +729,15 @@ std::uint64_t run_cell(ExperimentConfig config, const std::string& cell,
   h.str(events_out.str());
   h.str(snap_out.str());
   if (!ckpt.empty()) {
-    const std::string bytes = slurp(ckpt);
-    EXPECT_FALSE(bytes.empty()) << cell << ": no checkpoint written";
-    h.str(bytes);
+    Result<std::vector<std::uint8_t>> state =
+        Journal::read_snapshot(ckpt, config_fingerprint(config),
+                               "configuration");
+    EXPECT_TRUE(state.ok()) << cell << ": " << state.status().to_string();
+    if (state.ok()) {
+      const std::vector<std::uint8_t>& bytes = state.value();
+      EXPECT_FALSE(bytes.empty()) << cell << ": no engine state";
+      h.str(std::string(bytes.begin(), bytes.end()));
+    }
     std::filesystem::remove(ckpt);
   }
   return h.value();

@@ -12,7 +12,9 @@
 #include <string>
 
 #include "obs/event_log.h"
+#include "sim/journal.h"
 #include "util/serialize.h"
+#include "util/stats.h"
 
 namespace nvmsec {
 namespace {
@@ -108,6 +110,42 @@ TEST(FleetRunner, ResumeRejectsForeignCheckpoint) {
   resume.checkpoint_path = ckpt;
   resume.resume = true;
   EXPECT_THROW((void)run_fleet(other, resume), std::runtime_error);
+  std::filesystem::remove(ckpt);
+}
+
+TEST(FleetRunner, ResumeRefusesHostileCountInCrcValidRecord) {
+  const std::string ckpt = temp_path("fleet_test_hostile.ckpt");
+  std::filesystem::remove(ckpt);
+  const FleetSpec spec = small_spec();
+
+  // A well-framed shard record whose first sketch declares 2^62 centroids:
+  // the CRC verifies, so only the loader's own bound stands between the
+  // bytes and a huge allocation.
+  StateWriter w;
+  RunningStats().save_state(w);
+  w.u32(128);  // compression
+  w.u64(1);    // count
+  w.f64(0.5);  // min
+  w.f64(0.5);  // max
+  w.u64(std::uint64_t{1} << 62);
+  {
+    Journal journal;
+    ASSERT_TRUE(journal.open(ckpt, fleet_fingerprint(spec), true).ok());
+    ASSERT_TRUE(journal.append(0, w.buffer()).ok());
+  }
+
+  FleetOptions resume;
+  resume.checkpoint_path = ckpt;
+  resume.resume = true;
+  try {
+    (void)run_fleet(spec, resume);
+    ADD_FAILURE() << "resume accepted a hostile shard record";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("corruption: ", 0), 0u) << what;
+    EXPECT_NE(what.find("exceeds remaining buffer"), std::string::npos)
+        << what;
+  }
   std::filesystem::remove(ckpt);
 }
 
@@ -328,6 +366,20 @@ TEST(ExemplarSet, TiesBreakOnDeviceId) {
   ASSERT_EQ(s.items().size(), 2u);
   EXPECT_EQ(s.items()[0].id, 4u);
   EXPECT_EQ(s.items()[1].id, 7u);
+}
+
+TEST(ExemplarSet, LoadRejectsHostileItemCount) {
+  constexpr std::uint64_t kHostileCount = std::uint64_t{1} << 62;
+  StateWriter w;
+  w.u64(kHostileCount);  // capacity, so the item count passes that check
+  w.boolean(true);
+  w.u64(kHostileCount);
+  w.f64(0.5);
+  w.u64(1);
+  ExemplarSet loaded(1, true);
+  StateReader r(w.buffer());
+  const Status st = loaded.load_state(r);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.to_string();
 }
 
 TEST(FleetAggregate, SerializeThenMergeMatchesDirectMerge) {

@@ -246,6 +246,26 @@ TEST(QuantileSketch, LoadRejectsCorruptWeights) {
   EXPECT_FALSE(loaded.load_state(r).ok());
 }
 
+// A count of 2^62 centroids/buckets/items must be refused before anything
+// is allocated for it: fleet-journal replay feeds these loaders bytes that
+// a CRC does not vouch for.
+constexpr std::uint64_t kHostileCount = std::uint64_t{1} << 62;
+
+TEST(QuantileSketch, LoadRejectsHostileCentroidCount) {
+  StateWriter w;
+  w.u32(128);  // compression
+  w.u64(1);    // count
+  w.f64(0.5);  // min
+  w.f64(0.5);  // max
+  w.u64(kHostileCount);
+  w.f64(0.5);
+  w.u64(1);
+  QuantileSketch loaded;
+  StateReader r(w.buffer());
+  const Status st = loaded.load_state(r);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.to_string();
+}
+
 TEST(StreamingHistogram, BucketsAndOverflows) {
   StreamingHistogram h(1.0, 2.0, 4);  // [1,2) [2,4) [4,8) [8,16)
   h.add(0.5);   // underflow
@@ -345,6 +365,18 @@ TEST(StreamingHistogram, SerializeRoundTrip) {
   EXPECT_EQ(w1.buffer(), w2.buffer());
   EXPECT_EQ(h.total(), loaded.total());
   EXPECT_EQ(h.underflow(), loaded.underflow());
+}
+
+TEST(StreamingHistogram, LoadRejectsHostileBucketCount) {
+  StateWriter w;
+  w.f64(1.0);  // lo
+  w.f64(2.0);  // growth
+  w.u64(kHostileCount);
+  for (int i = 0; i < 4; ++i) w.u64(0);
+  StreamingHistogram loaded(1.0, 2.0, 4);
+  StateReader r(w.buffer());
+  const Status st = loaded.load_state(r);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.to_string();
 }
 
 TEST(WelfordRunningStats, MatchesTwoPassMoments) {
@@ -466,6 +498,21 @@ TEST(WeightedReservoir, SerializeRoundTrip) {
   loaded.save_state(w2);
   EXPECT_EQ(w1.buffer(), w2.buffer());
   EXPECT_EQ(r.seen(), loaded.seen());
+}
+
+TEST(WeightedReservoir, LoadRejectsHostileItemCount) {
+  StateWriter w;
+  w.u64(kHostileCount);  // capacity, so the item count passes that check
+  w.u64(0);              // salt
+  w.u64(1);              // seen
+  w.u64(kHostileCount);
+  w.f64(0.5);
+  w.u64(1);
+  w.f64(0.5);
+  WeightedReservoir loaded(1);
+  StateReader r(w.buffer());
+  const Status st = loaded.load_state(r);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.to_string();
 }
 
 TEST(StreamSummary, SerializeThenMergeIsBitIdenticalToDirectMerge) {

@@ -138,8 +138,8 @@ int main(int argc, char** argv) {
                "cause falls back to the result classification", "65536");
   cli.add_flag("out", "fleet-result JSON path (default: stdout)", "");
   cli.add_flag("checkpoint-out",
-               "crash-safe campaign checkpoint (per-shard sketch state, "
-               "rewritten after every completed shard)", "");
+               "crash-safe campaign journal (per-shard sketch state, one "
+               "record appended per completed shard)", "");
   cli.add_switch("resume",
                  "resume from --checkpoint-out if it exists, else start "
                  "fresh");
