@@ -8,6 +8,7 @@
 #include <cmath>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/maxwe.h"
@@ -175,13 +176,23 @@ BENCHMARK(BM_MultinomialDraw)
 
 void BM_EngineBatchedWrite(benchmark::State& state) {
   // Full Engine::run through the batched fast path vs. the per-write path
-  // (Arg: 1 = fastpath, 0 = per-write), on a UAA sweep under Start-Gap +
-  // Max-WE — the configuration the run-length batching targets. Each
-  // iteration runs a capped fresh engine; items = user writes simulated.
+  // (first Arg: 1 = fastpath, 0 = per-write) under Max-WE. Second Arg: a
+  // UAA sweep under Start-Gap, which batches on the address-oblivious
+  // horizon, or BPA bursts under TLSR or WAWL, which batch on the
+  // per-address one. Each iteration runs a capped fresh engine; items =
+  // user writes simulated. The cap is large enough that the writes, not
+  // the ~8 ms per run that does not grow with it, dominate an iteration.
+  struct Workload {
+    const char* attack;
+    const char* wear_leveler;
+  };
+  static constexpr Workload kWorkloads[] = {
+      {"uaa", "startgap"}, {"bpa", "tlsr"}, {"bpa", "wawl"}};
   const bool fastpath = state.range(0) != 0;
-  constexpr WriteCount kCap = 200'000;
+  const Workload& workload = kWorkloads[state.range(1)];
+  constexpr WriteCount kCap = 2'000'000;
   auto map = bench_map();
-  auto attack = make_attack("uaa");
+  auto attack = make_attack(workload.attack);
   for (auto _ : state) {
     state.PauseTiming();
     Rng rng(11);
@@ -192,20 +203,21 @@ void BM_EngineBatchedWrite(benchmark::State& state) {
       view[i] = map->line_endurance(spare->working_line(i));
     }
     WearLevelerParams params;
-    auto wl =
-        make_wear_leveler("startgap", spare->working_lines(), view, params,
-                          rng);
+    auto wl = make_wear_leveler(workload.wear_leveler, spare->working_lines(),
+                                view, params, rng);
     attack->reset();
     Engine engine(device, *attack, *wl, *spare, rng);
     engine.set_fast_path(fastpath);
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine.run(kCap));
   }
-  state.SetLabel(fastpath ? "fastpath" : "per-write");
+  state.SetLabel(std::string(workload.attack) + "/" + workload.wear_leveler +
+                 (fastpath ? " fastpath" : " per-write"));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kCap));
 }
-BENCHMARK(BM_EngineBatchedWrite)->Arg(0)->Arg(1)
+BENCHMARK(BM_EngineBatchedWrite)
+    ->ArgsProduct({{0, 1}, {0, 1, 2}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_RngUniform(benchmark::State& state) {

@@ -553,11 +553,16 @@ LifetimeResult Engine::run(WriteCount max_user_writes) {
     }
 
     // One span for the whole run, however it is sliced below: a leveler
-    // with a short horizon (PCM-S, BWL) or none (TLSR) would otherwise pay
-    // a clock pair per slice. The perwrite/batch counters keep the split.
+    // with a short horizon (PCM-S, BWL) or none (TLSR under a sweep) would
+    // otherwise pay a clock pair per slice. The perwrite/batch counters
+    // keep the split.
     const ScopedProfPhase write_span(prof, fastpath_
                                                ? ProfPhase::kEngineBatchWrite
                                                : ProfPhase::kEnginePerWrite);
+    // A stride-0 run hammers one address, so it may ask the leveler about
+    // that address alone: TLSR and WAWL count per sub-region or per line
+    // and only batch on this per-address horizon.
+    const bool one_address = run.stride == 0;
     std::uint64_t done = 0;
     std::uint64_t one_by_one = 0;
     while (done < run.count && !result.failed) {
@@ -565,7 +570,10 @@ LifetimeResult Engine::run(WriteCount max_user_writes) {
       // without remapping, migrating, or drawing from the RNG. 0 means the
       // leveler declines batching (or a remap is imminent): take the exact
       // per-write path for this write.
-      const std::uint64_t horizon = fastpath_ ? wl_.writes_until_remap() : 0;
+      const std::uint64_t horizon =
+          !fastpath_    ? 0
+          : one_address ? wl_.writes_until_remap_at(run.start)
+                        : wl_.writes_until_remap();
       if (horizon == 0) {
         write_one(run.addr_at(done));
         ++done;
@@ -574,7 +582,7 @@ LifetimeResult Engine::run(WriteCount max_user_writes) {
       }
       const std::uint64_t span = std::min(horizon, run.count - done);
       std::uint64_t issued = 0;
-      if (run.stride == 0 && cacheable) {
+      if (one_address && cacheable) {
         // One address hammered: one entry of `span` writes.
         issued = write_entries(done, done + 1, [&](std::uint64_t) {
           return Entry{wl_.translate(run.start), span, false};
@@ -589,7 +597,11 @@ LifetimeResult Engine::run(WriteCount max_user_writes) {
       // Fast-forward the remap cadence by the writes actually issued (the
       // per-write path would have counted each of them, including a fatal
       // final write, before the remap ever fired).
-      wl_.commit_batched_writes(issued);
+      if (one_address) {
+        wl_.commit_batched_writes_at(run.start, issued);
+      } else {
+        wl_.commit_batched_writes(issued);
+      }
       done += issued;
       if (prof != nullptr) {
         prof->add(ProfCounter::kBatchRuns);

@@ -89,6 +89,13 @@ class AdaptiveWearLeveler final : public WearLeveler {
   void commit_batched_writes(std::uint64_t k) override {
     inner_->commit_batched_writes(k);
   }
+  [[nodiscard]] std::uint64_t writes_until_remap_at(
+      LogicalLineAddr la) const override {
+    return inner_->writes_until_remap_at(la);
+  }
+  void commit_batched_writes_at(LogicalLineAddr la, std::uint64_t k) override {
+    inner_->commit_batched_writes_at(la, k);
+  }
   [[nodiscard]] std::uint64_t mapping_epoch() const override {
     return inner_->mapping_epoch();
   }

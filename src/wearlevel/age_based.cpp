@@ -86,7 +86,10 @@ void AgeBased::save_policy(StateWriter& w) const {
 
 Status AgeBased::load_policy(StateReader& r) {
   std::uint64_t since = 0;
-  if (Status st = r.u64(since); !st.ok()) return st;
+  if (Status st = load_cadence_counter(r, interval_, since, "agebased");
+      !st.ok()) {
+    return st;
+  }
   std::vector<std::uint64_t> age;
   if (Status st = r.vec_u64(age); !st.ok()) return st;
   if (age.size() != working_lines_) {

@@ -45,7 +45,7 @@ class PcmS final : public PermutationWearLeveler {
   void reset_policy() override { writes_since_swap_ = 0; }
   void save_policy(StateWriter& w) const override { w.u64(writes_since_swap_); }
   [[nodiscard]] Status load_policy(StateReader& r) override {
-    return r.u64(writes_since_swap_);
+    return load_cadence_counter(r, interval_, writes_since_swap_, "pcms");
   }
 
   std::uint64_t interval_;

@@ -66,6 +66,20 @@ void PermutationWearLeveler::charge_overhead(std::uint64_t wi,
   ++overhead_writes_;
 }
 
+Status PermutationWearLeveler::load_cadence_counter(StateReader& r,
+                                                    std::uint64_t interval,
+                                                    std::uint64_t& counter,
+                                                    const char* scheme) {
+  std::uint64_t value = 0;
+  if (Status st = r.u64(value); !st.ok()) return st;
+  if (value >= interval) {
+    return Status::corruption(std::string(scheme) +
+                              " state: cadence counter >= interval");
+  }
+  counter = value;
+  return Status{};
+}
+
 void PermutationWearLeveler::save_state(StateWriter& w) const {
   w.vec_u32(fwd_);
   w.u64(overhead_writes_);

@@ -49,6 +49,13 @@ class PermutationWearLeveler : public WearLeveler {
     (void)r;
     return Status{};
   }
+  /// Reads a remap cadence counter into `counter`, refusing a value at or
+  /// past `interval`: on_write never leaves one there, and the horizon
+  /// interval - counter - 1 would underflow.
+  [[nodiscard]] static Status load_cadence_counter(StateReader& r,
+                                                   std::uint64_t interval,
+                                                   std::uint64_t& counter,
+                                                   const char* scheme);
   /// Swap the working indices backing logical lines a and b, charging one
   /// migration write to each destination (the data of each line is written
   /// into the other's slot).

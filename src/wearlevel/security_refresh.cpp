@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace nvmsec {
 
@@ -39,8 +40,7 @@ bool SecurityRefresh::set_remap_interval(std::uint64_t interval) {
   // shrink just fires sooner; clamp only to keep the counters from sitting
   // arbitrarily far past a shrunk quota (one step per write, never a burst).
   for (auto& w : writes_since_step_) w = std::min(w, interval_ - 1);
-  const std::uint64_t outer_quota = interval_ * lines_per_subregion_;
-  for (auto& w : writes_since_outer_) w = std::min(w, outer_quota - 1);
+  for (auto& w : writes_since_outer_) w = std::min(w, outer_quota() - 1);
   return true;
 }
 
@@ -59,11 +59,27 @@ void SecurityRefresh::on_write(LogicalLineAddr la, Rng& rng,
   // Outer level: once a sub-region has absorbed a full sweep's worth of
   // writes, its entire contents migrate to a random other sub-region. This
   // is what stops an attacker from pinning damage inside one inner region.
-  if (++writes_since_outer_[subregion] >= interval_ * lines_per_subregion_) {
+  if (++writes_since_outer_[subregion] >= outer_quota()) {
     writes_since_outer_[subregion] = 0;
     outer_swap(subregion, rng, out);
   }
   out.push_back({translate(la), false});
+}
+
+std::uint64_t SecurityRefresh::writes_until_remap_at(
+    LogicalLineAddr la) const {
+  // Until its next step the sub-region keeps its mapping, so every write
+  // to `la` lands in the same sub-region and bumps the same two counters.
+  const std::uint64_t subregion = translate(la) / lines_per_subregion_;
+  return std::min(interval_ - 1 - writes_since_step_[subregion],
+                  outer_quota() - 1 - writes_since_outer_[subregion]);
+}
+
+void SecurityRefresh::commit_batched_writes_at(LogicalLineAddr la,
+                                               std::uint64_t k) {
+  const std::uint64_t subregion = translate(la) / lines_per_subregion_;
+  writes_since_step_[subregion] += k;
+  writes_since_outer_[subregion] += k;
 }
 
 void SecurityRefresh::refresh_step(std::uint64_t subregion, Rng& rng,
@@ -98,6 +114,35 @@ void SecurityRefresh::outer_swap(std::uint64_t subregion, Rng& rng,
   for (std::uint64_t k = 0; k < lines_per_subregion_; ++k) {
     swap_working(base + k, other_base + k, out);
   }
+}
+
+Status SecurityRefresh::load_policy(StateReader& r) {
+  std::vector<std::uint64_t> step, outer, sweep, key;
+  if (Status st = r.vec_u64(step); !st.ok()) return st;
+  if (Status st = r.vec_u64(outer); !st.ok()) return st;
+  if (Status st = r.vec_u64(sweep); !st.ok()) return st;
+  if (Status st = r.vec_u64(key); !st.ok()) return st;
+  if (step.size() != subregions_ || outer.size() != subregions_ ||
+      sweep.size() != subregions_ || key.size() != subregions_) {
+    return Status::corruption("tlsr state: subregion count mismatch");
+  }
+  // on_write keeps each counter below its quota and refresh_step indexes
+  // the sub-region by sweep pointer and key; anything else is not a state
+  // the scheme can reach.
+  for (std::uint64_t s = 0; s < subregions_; ++s) {
+    if (step[s] >= interval_ || outer[s] >= outer_quota()) {
+      return Status::corruption("tlsr state: counter >= its quota");
+    }
+    if (sweep[s] >= lines_per_subregion_ || key[s] == 0 ||
+        key[s] >= lines_per_subregion_) {
+      return Status::corruption("tlsr state: sweep or key out of range");
+    }
+  }
+  writes_since_step_ = std::move(step);
+  writes_since_outer_ = std::move(outer);
+  sweep_ = std::move(sweep);
+  key_ = std::move(key);
+  return Status{};
 }
 
 void SecurityRefresh::reset_policy() {

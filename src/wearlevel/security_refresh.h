@@ -35,6 +35,12 @@ class SecurityRefresh final : public PermutationWearLeveler {
 
   [[nodiscard]] std::string name() const override { return "tlsr"; }
 
+  /// Writes to `la` that neither level's counter in its sub-region turns
+  /// into a step: both counters still have room for each of them.
+  [[nodiscard]] std::uint64_t writes_until_remap_at(
+      LogicalLineAddr la) const override;
+  void commit_batched_writes_at(LogicalLineAddr la, std::uint64_t k) override;
+
   [[nodiscard]] std::uint64_t remap_interval() const override {
     return interval_;
   }
@@ -48,21 +54,10 @@ class SecurityRefresh final : public PermutationWearLeveler {
     w.vec_u64(sweep_);
     w.vec_u64(key_);
   }
-  [[nodiscard]] Status load_policy(StateReader& r) override {
-    std::vector<std::uint64_t> step, outer, sweep, key;
-    if (Status st = r.vec_u64(step); !st.ok()) return st;
-    if (Status st = r.vec_u64(outer); !st.ok()) return st;
-    if (Status st = r.vec_u64(sweep); !st.ok()) return st;
-    if (Status st = r.vec_u64(key); !st.ok()) return st;
-    if (step.size() != subregions_ || outer.size() != subregions_ ||
-        sweep.size() != subregions_ || key.size() != subregions_) {
-      return Status::corruption("tlsr state: subregion count mismatch");
-    }
-    writes_since_step_ = std::move(step);
-    writes_since_outer_ = std::move(outer);
-    sweep_ = std::move(sweep);
-    key_ = std::move(key);
-    return Status{};
+  [[nodiscard]] Status load_policy(StateReader& r) override;
+  /// Writes a sub-region absorbs between outer-level migrations.
+  [[nodiscard]] std::uint64_t outer_quota() const {
+    return interval_ * lines_per_subregion_;
   }
   void refresh_step(std::uint64_t subregion, Rng& rng,
                     std::vector<WlPhysWrite>& out);

@@ -58,7 +58,10 @@ class StartGap final : public PermutationWearLeveler {
   }
   [[nodiscard]] Status load_policy(StateReader& r) override {
     std::uint64_t since = 0, gap = 0;
-    if (Status st = r.u64(since); !st.ok()) return st;
+    if (Status st = load_cadence_counter(r, psi_, since, "startgap");
+        !st.ok()) {
+      return st;
+    }
     if (Status st = r.u64(gap); !st.ok()) return st;
     if (gap >= working_lines_) {
       return Status::corruption("startgap state: gap slot out of range");

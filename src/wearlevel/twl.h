@@ -60,7 +60,7 @@ class Twl final : public PermutationWearLeveler {
   void reset_policy() override { writes_since_toss_ = 0; }
   void save_policy(StateWriter& w) const override { w.u64(writes_since_toss_); }
   [[nodiscard]] Status load_policy(StateReader& r) override {
-    return r.u64(writes_since_toss_);
+    return load_cadence_counter(r, interval_, writes_since_toss_, "twl");
   }
 
   std::uint64_t group_lines_;

@@ -33,20 +33,24 @@ class Wawl final : public PermutationWearLeveler {
 
   [[nodiscard]] std::string name() const override { return "wawl"; }
 
+  /// Writes to `la` before the one that ends its dwell and swaps it: its
+  /// countdown less one, or for a fresh line its slot's budget less one.
+  [[nodiscard]] std::uint64_t writes_until_remap_at(
+      LogicalLineAddr la) const override;
+  void commit_batched_writes_at(LogicalLineAddr la, std::uint64_t k) override;
+
   [[nodiscard]] std::uint64_t remap_interval() const override {
     return base_interval_;
   }
   /// Changes the dwell budget granted to FUTURE placements; outstanding
   /// countdowns keep the budget they were assigned, so the new cadence
   /// phases in as lines hit their next swap.
-  bool set_remap_interval(std::uint64_t interval) override {
-    if (interval == 0) return false;
-    base_interval_ = interval;
-    return true;
-  }
+  bool set_remap_interval(std::uint64_t interval) override;
 
-  /// Dwell budget granted when data lands on `working_index` (for tests).
-  [[nodiscard]] std::uint64_t dwell_budget(std::uint64_t working_index) const;
+  /// Dwell budget granted when data lands on `working_index`.
+  [[nodiscard]] std::uint32_t dwell_budget(std::uint64_t working_index) const {
+    return budget_[working_index / group_lines_];
+  }
 
  private:
   void reset_policy() override;
@@ -61,12 +65,17 @@ class Wawl final : public PermutationWearLeveler {
     return Status{};
   }
   [[nodiscard]] std::uint64_t sample_victim(Rng& rng) const;
+  /// Fill budget_ from dwell_weight_ at the current base interval.
+  void rebuild_budgets();
 
   std::uint64_t group_lines_;
   std::uint64_t base_interval_;
-  double alpha_;
-  /// Normalized group endurance (mean = 1) driving dwell scaling.
-  std::vector<double> group_strength_;
+  /// Per group, (normalized endurance)^alpha: the victim-choice weight and
+  /// the factor scaling the base interval into a dwell budget.
+  std::vector<double> dwell_weight_;
+  /// Per group, the dwell budget, at least 1 and clamped to the countdown
+  /// width.
+  std::vector<std::uint32_t> budget_;
   std::unique_ptr<AliasTable> group_sampler_;
   /// Remaining dwell writes per logical line; 0 means "assign on next write".
   std::vector<std::uint32_t> countdown_;

@@ -63,9 +63,11 @@ class WearLeveler {
   /// migration writes, and draw nothing from the RNG — regardless of the
   /// addresses written. Over that horizon a batched engine may map writes
   /// through translate() alone and fast-forward the cadence afterwards via
-  /// commit_batched_writes(). 0 declines batching; the default declines so
-  /// schemes with per-write state (TLSR's sub-region counters, WAWL's
-  /// dwell countdowns, age tables) stay on the exact per-write path.
+  /// commit_batched_writes(). 0 declines batching; the default declines.
+  /// Start-Gap, PCM-S, BWL and TWL count every write against one global
+  /// cadence and answer it. TLSR and WAWL count per sub-region or per line,
+  /// so no bound holds for every address: they keep this at 0 and answer
+  /// only the per-address pair below. Age-based leveling answers neither.
   [[nodiscard]] virtual std::uint64_t writes_until_remap() const { return 0; }
 
   /// Fast-forward the remap cadence by `k` user writes that were issued
@@ -77,6 +79,26 @@ class WearLeveler {
       throw std::logic_error("WearLeveler::commit_batched_writes: '" + name() +
                              "' does not support batched writes");
     }
+  }
+
+  /// Per-address horizon: like writes_until_remap(), but for upcoming
+  /// writes that all go to `la` — the shape of a BPA burst. Levelers whose
+  /// cadence is counted per sub-region (TLSR) or per line (WAWL) can answer
+  /// this where the global horizon is 0. The default forwards to the
+  /// address-oblivious horizon, which bounds every address.
+  [[nodiscard]] virtual std::uint64_t writes_until_remap_at(
+      LogicalLineAddr la) const {
+    (void)la;
+    return writes_until_remap();
+  }
+
+  /// Fast-forward the cadence by `k` writes, all to `la`, issued without
+  /// on_write() calls. Only valid for k <= writes_until_remap_at(la) as
+  /// observed before the batch. The default forwards to
+  /// commit_batched_writes().
+  virtual void commit_batched_writes_at(LogicalLineAddr la, std::uint64_t k) {
+    (void)la;
+    commit_batched_writes(k);
   }
 
   /// Remap counter: bumped whenever the logical->working mapping changes

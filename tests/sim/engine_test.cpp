@@ -9,6 +9,8 @@
 
 #include "attack/attack.h"
 #include "core/maxwe.h"
+#include "obs/profiler.h"
+#include "sim/experiment.h"
 #include "spare/spare_scheme.h"
 #include "wearlevel/none.h"
 
@@ -273,6 +275,25 @@ TEST(EngineTest, ResolveCountFollowsResolveCacheable) {
     } else {
       EXPECT_EQ(shared, per_write) << "a sweep writes each entry once";
     }
+  }
+}
+
+TEST(EngineTest, BpaBurstsBatchUnderPerAddressHorizons) {
+  // TLSR and WAWL count their cadence per sub-region and per line, so
+  // their address-oblivious horizon is 0. A BPA burst hammers one address,
+  // and their horizon for that address lets nearly all of it skip on_write.
+  for (const std::string wl : {"tlsr", "wawl"}) {
+    ExperimentConfig config = scaled_stochastic_config(512, 32, 5e3);
+    config.attack = "bpa";
+    config.wear_leveler = wl;
+    config.spare_scheme = "maxwe";
+    Profiler prof;
+    config.observer.profiler = &prof;
+    const LifetimeResult r = run_experiment(config);
+    ASSERT_TRUE(r.failed) << wl;
+    const auto batched =
+        static_cast<double>(prof.counter(ProfCounter::kBatchWrites));
+    EXPECT_GE(batched, 0.9 * r.user_writes) << wl;
   }
 }
 
