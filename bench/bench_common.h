@@ -19,9 +19,11 @@
 namespace nvmsec::bench {
 
 /// Register the shared --jobs flag (0 = all hardware threads; 1 = the
-/// serial code path). Call before cli.parse().
+/// calling thread only). Call before cli.parse().
 inline void add_jobs_flag(CliParser& cli) {
-  cli.add_flag("jobs", "worker threads (0 = all cores, 1 = serial)", "0");
+  cli.add_flag("jobs",
+               "worker threads (0 = all cores, 1 = the calling thread only)",
+               "0");
 }
 
 /// Read --jobs back into ParallelOptions.

@@ -18,7 +18,9 @@ int main(int argc, char** argv) {
   CliParser cli("Extension: module lifetime vs bank count under UAA");
   cli.add_flag("lines", "lines per bank", "65536");
   cli.add_flag("regions", "regions per bank", "512");
-  cli.add_flag("jobs", "worker threads (0 = all cores, 1 = serial)", "0");
+  cli.add_flag("jobs",
+               "worker threads (0 = all cores, 1 = the calling thread only)",
+               "0");
   if (!cli.parse(argc, argv)) return 0;
   ParallelOptions jobs;
   jobs.jobs = static_cast<std::size_t>(cli.get_int("jobs"));

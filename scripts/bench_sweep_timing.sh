@@ -33,9 +33,9 @@ if [[ ! -x "$BENCH" ]]; then
 fi
 
 CORES="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)"
-# Even on a single-core machine, drive the pool with 2 workers so the
-# parallel code path (not the jobs=1 serial short-circuit) is what gets
-# compared against the reference.
+# Even on a single-core machine, run the sweep on at least 2 threads so
+# concurrent runs (helper threads, the shared endurance-map cache) are
+# what gets compared against the one-thread reference.
 PARALLEL_JOBS="$CORES"
 if [[ "$PARALLEL_JOBS" -lt 2 ]]; then PARALLEL_JOBS=2; fi
 

@@ -78,7 +78,7 @@ void Profiler::merge(const Profiler& other) {
   utilization_wall_ns_ += other.utilization_wall_ns_;
 }
 
-void Profiler::set_utilization(const std::vector<ProfWorkerStats>& workers,
+void Profiler::set_utilization(const std::vector<WorkerUtilization>& workers,
                                std::uint64_t wall_ns) {
   workers_.insert(workers_.end(), workers.begin(), workers.end());
   utilization_wall_ns_ += wall_ns;

@@ -30,6 +30,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/thread_pool.h"
+
 namespace nvmsec {
 
 /// Fixed phase taxonomy. Adding a phase means adding an enum entry plus a
@@ -119,13 +121,6 @@ struct ProfPhaseStats {
   }
 };
 
-/// Per-worker busy time from a parallel section (thread pool drivers plus
-/// the calling thread), for the utilization report.
-struct ProfWorkerStats {
-  std::uint64_t busy_ns{0};
-  std::uint64_t tasks{0};
-};
-
 class Profiler {
  public:
   [[nodiscard]] static std::uint64_t now_ns() {
@@ -177,13 +172,13 @@ class Profiler {
   /// order. Worker utilization is appended in call order.
   void merge(const Profiler& other);
 
-  /// Attach per-worker busy time from a parallel section. `wall_ns` is the
-  /// section's wall time (the denominator for utilization); repeated calls
-  /// append workers and sum wall time (sections run back to back).
-  void set_utilization(const std::vector<ProfWorkerStats>& workers,
+  /// Attach per-thread busy time from a parallel_for section. `wall_ns` is
+  /// the section's wall time (the denominator for utilization); repeated
+  /// calls append workers and sum wall time (sections run back to back).
+  void set_utilization(const std::vector<WorkerUtilization>& workers,
                        std::uint64_t wall_ns);
 
-  [[nodiscard]] const std::vector<ProfWorkerStats>& workers() const {
+  [[nodiscard]] const std::vector<WorkerUtilization>& workers() const {
     return workers_;
   }
   [[nodiscard]] std::uint64_t utilization_wall_ns() const {
@@ -206,7 +201,7 @@ class Profiler {
   std::array<ProfPhaseStats, kProfPhaseCount> phases_{};
   std::array<std::uint32_t, kProfPhaseCount> depth_{};
   std::array<std::uint64_t, kProfCounterCount> counters_{};
-  std::vector<ProfWorkerStats> workers_;
+  std::vector<WorkerUtilization> workers_;
   std::uint64_t utilization_wall_ns_{0};
 };
 

@@ -32,8 +32,6 @@ std::uint64_t ExperimentConfig::spare_lines() const {
   return spare_regions * geometry.lines_per_region();
 }
 
-namespace {
-
 std::unique_ptr<SpareScheme> build_spare_scheme(
     const ExperimentConfig& config,
     const std::shared_ptr<const EnduranceMap>& endurance, Rng& rng) {
@@ -58,6 +56,8 @@ std::unique_ptr<SpareScheme> build_spare_scheme(
   throw std::invalid_argument("run_experiment: unknown spare scheme '" + name +
                               "'");
 }
+
+namespace {
 
 /// Fault injection and checkpointing only make sense where there is a
 /// run-time trajectory to perturb or to save; reject the combinations that

@@ -153,6 +153,14 @@ LifetimeResult run_experiment(const ExperimentConfig& config);
 /// stands in for share a trajectory, so they must share a fingerprint.
 [[nodiscard]] std::uint64_t config_fingerprint(const ExperimentConfig& config);
 
+/// The spare scheme run_experiment builds for `config` over `endurance`,
+/// drawing from `rng` as it does. Throws std::invalid_argument on an
+/// unknown scheme name or a zero spare budget. Public so a run over an
+/// endurance map loaded from a file builds the same scheme.
+std::unique_ptr<SpareScheme> build_spare_scheme(
+    const ExperimentConfig& config,
+    const std::shared_ptr<const EnduranceMap>& endurance, Rng& rng);
+
 class EnduranceMapCache;
 
 /// Same run, but source the endurance map from `cache` (see

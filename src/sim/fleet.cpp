@@ -11,7 +11,6 @@
 #include "obs/json.h"
 #include "obs/json_parse.h"
 #include "obs/profiler.h"
-#include "sim/endurance_cache.h"
 #include "sim/journal.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -380,7 +379,6 @@ std::uint64_t shard_count(const FleetSpec& spec, std::uint64_t shard) {
 /// device, arena); it is an allocation strategy only and cannot change the
 /// aggregate.
 FleetAggregate run_shard(const FleetSpec& spec, std::uint64_t shard,
-                         EnduranceMapCache* cache,
                          ExperimentWorkspace* workspace, Profiler* prof) {
   const ScopedProfPhase shard_span(prof, ProfPhase::kFleetShard);
   FleetAggregate agg;
@@ -408,7 +406,7 @@ FleetAggregate run_shard(const FleetSpec& spec, std::uint64_t shard,
 
     const LifetimeResult result = [&] {
       const ScopedProfPhase device_span(prof, ProfPhase::kFleetDevice);
-      return run_experiment(config, cache, workspace);
+      return run_experiment(config, nullptr, workspace);
     }();
     log.finalize();
     bool truncated = false;
@@ -490,17 +488,12 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
     pending.resize(options.stop_after_shards);
   }
 
-  // Fleet device seeds are all distinct, so a shared endurance-map cache
-  // never hits within a campaign — per-worker workspaces (in-place map
-  // rebuilds) replace it on the default path. An explicitly supplied cache
-  // still wins: the caller is sharing maps across campaigns.
-  EnduranceMapCache* cache =
-      options.use_cache && options.cache != nullptr ? options.cache : nullptr;
-
   // Per-worker reusable setup state, pooled across shards: a worker checks
   // a workspace out for a shard and returns it after, so steady-state shard
   // execution reuses the previous shard's map/spare/device/arena instead of
-  // reallocating them per device.
+  // reallocating them per device. Fleet device seeds are all distinct, so
+  // an endurance-map cache would never hit; the workspaces' in-place map
+  // rebuilds replace it.
   std::mutex workspace_mu;
   std::vector<std::unique_ptr<ExperimentWorkspace>> workspace_pool;
   const auto acquire_workspace = [&]() -> std::unique_ptr<ExperimentWorkspace> {
@@ -531,7 +524,7 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
   };
 
   const std::size_t jobs = std::min<std::size_t>(
-      options.jobs == 0 ? ThreadPool::hardware_workers() : options.jobs,
+      options.jobs == 0 ? hardware_workers() : options.jobs,
       std::max<std::size_t>(pending.size(), 1));
 
   // Completion-side state: checkpoint mirror, heartbeat progress and shard
@@ -591,38 +584,18 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
   const auto run_one = [&](std::uint64_t shard) {
     const std::uint64_t start_ns = Profiler::now_ns();
     std::unique_ptr<ExperimentWorkspace> ws = acquire_workspace();
-    FleetAggregate agg =
-        run_shard(spec, shard, cache, ws.get(), shard_prof(shard));
+    FleetAggregate agg = run_shard(spec, shard, ws.get(), shard_prof(shard));
     release_workspace(std::move(ws));
     complete_shard(shard, std::move(agg), Profiler::now_ns() - start_ns);
   };
 
+  std::vector<WorkerUtilization> utilization;
   const std::uint64_t section_start = Profiler::now_ns();
-  if (jobs <= 1) {
-    for (std::uint64_t shard : pending) run_one(shard);
-    if (prof != nullptr && !pending.empty()) {
-      // Serial campaign: one driver (this thread), busy the whole section.
-      const std::uint64_t section_ns = Profiler::now_ns() - section_start;
-      prof->set_utilization({ProfWorkerStats{section_ns, pending.size()}},
-                            section_ns);
-    }
-  } else {
-    ThreadPool pool(jobs - 1);
-    std::vector<WorkerUtilization> utilization;
-    pool.parallel_for_each(
-        pending.size(), [&](std::size_t k) { run_one(pending[k]); },
-        prof != nullptr ? &utilization : nullptr);
-    if (prof != nullptr) {
-      const std::uint64_t section_ns = Profiler::now_ns() - section_start;
-      std::vector<ProfWorkerStats> workers;
-      workers.reserve(utilization.size());
-      for (const WorkerUtilization& u : utilization) {
-        workers.push_back(ProfWorkerStats{u.busy_ns, u.tasks});
-      }
-      prof->set_utilization(workers, section_ns);
-    }
-  }
+  parallel_for(
+      jobs, pending.size(), [&](std::size_t k) { run_one(pending[k]); },
+      prof != nullptr ? &utilization : nullptr);
   if (prof != nullptr) {
+    prof->set_utilization(utilization, Profiler::now_ns() - section_start);
     for (const Profiler& p : shard_profilers) prof->merge(p);
   }
 

@@ -4,7 +4,7 @@
 // The paper's endurance claim is a population claim — "survives N writes
 // under attack" only matters across millions of devices with endurance
 // variation and faults. run_fleet() fans a device-population spec across
-// the thread pool and streams every per-device LifetimeResult (plus its
+// `jobs` threads and streams every per-device LifetimeResult (plus its
 // event-log-derived failure cause) into per-shard sketches; no per-device
 // result is ever retained.
 //
@@ -39,7 +39,6 @@
 
 namespace nvmsec {
 
-class EnduranceMapCache;
 class EventLog;
 class HeartbeatSink;
 class Profiler;
@@ -199,15 +198,9 @@ struct FleetSpec {
 [[nodiscard]] std::uint64_t fleet_fingerprint(const FleetSpec& spec);
 
 struct FleetOptions {
-  /// Worker threads. 0 = all hardware threads, 1 = serial.
+  /// Threads running shards, the calling thread included. 0 = all
+  /// hardware threads, 1 = the calling thread only.
   std::size_t jobs{1};
-  /// Honor an explicitly supplied `cache` below. Fleet seeds are all
-  /// distinct, so a shared endurance-map cache never hits within a
-  /// campaign; by default each worker instead reuses its own workspace
-  /// (in-place map rebuilds — see ExperimentWorkspace). Set `cache` only
-  /// to share maps with other campaigns in the same process.
-  bool use_cache{true};
-  EnduranceMapCache* cache{nullptr};
   /// Crash safety: append every completed shard's aggregate to this
   /// MXWEJRNL journal file (sim/journal.h; O(shard) bytes per
   /// completion, torn tails self-heal on replay). Empty disables.
@@ -224,7 +217,7 @@ struct FleetOptions {
   /// Each shard records into its own private Profiler (fleet.shard /
   /// fleet.device spans plus everything the engines record) and the
   /// per-shard instances are merged into this one in shard-index order
-  /// after the join; pool worker utilization is attached too. Like the
+  /// after the join; per-thread utilization is attached too. Like the
   /// heartbeat, attaching a profiler cannot change the fleet result.
   Profiler* profiler{nullptr};
 };
@@ -239,7 +232,9 @@ struct FleetResult {
 
 /// Run the campaign. Throws std::invalid_argument on an empty population
 /// or bad mix, std::runtime_error when resume meets a checkpoint written
-/// by a different spec.
+/// by a different spec. A shard that throws does not stop the others:
+/// they all run (and are journaled), then the exception of the
+/// lowest-numbered failing shard is rethrown.
 FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options = {});
 
 /// Deterministic JSON rendering of a fleet result (fixed key order,

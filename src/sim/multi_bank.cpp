@@ -1,5 +1,6 @@
 #include "sim/multi_bank.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -25,21 +26,6 @@ MultiBankResult aggregate_multi_bank(std::vector<double> per_bank) {
   }
   result.mean_bank = sum / static_cast<double>(result.per_bank.size());
   return result;
-}
-
-MultiBankResult run_multi_bank(const ExperimentConfig& config,
-                               std::uint32_t banks) {
-  if (banks == 0) {
-    throw std::invalid_argument("run_multi_bank: banks must be > 0");
-  }
-  std::vector<double> per_bank;
-  per_bank.reserve(banks);
-  for (std::uint32_t b = 0; b < banks; ++b) {
-    ExperimentConfig bank_config = config;
-    bank_config.seed = config.seed + b;
-    per_bank.push_back(run_experiment(bank_config).normalized);
-  }
-  return aggregate_multi_bank(std::move(per_bank));
 }
 
 }  // namespace nvmsec

@@ -15,8 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/experiment.h"
-
 namespace nvmsec {
 
 struct MultiBankResult {
@@ -26,23 +24,18 @@ struct MultiBankResult {
   double system_normalized{0};
   /// Index of the limiting bank. Tie rule: when several banks share the
   /// minimum lifetime (e.g. a variation-free endurance model), this is the
-  /// FIRST such bank — explicit so the serial and parallel paths, and any
-  /// future reordering of bank execution, agree exactly.
+  /// FIRST such bank — explicit so every job count, and any future
+  /// reordering of bank execution, agrees exactly.
   std::uint32_t weakest_bank{0};
   double mean_bank{0};
   double max_bank{0};
 };
 
-/// Aggregate per-bank lifetimes (bank order) into a MultiBankResult.
-/// Single reduction shared by the serial and parallel run_multi_bank paths
-/// so their outputs are identical by construction; implements the
-/// first-bank-at-minimum tie rule above. Throws on empty input.
+/// Aggregate per-bank lifetimes (bank order) into a MultiBankResult: a
+/// bank-order pass on the calling thread, so the outcome cannot depend on
+/// which bank finished first; implements the first-bank-at-minimum tie
+/// rule above. Throws on empty input. run_multi_bank (sim/parallel.h) runs
+/// the banks and calls this.
 MultiBankResult aggregate_multi_bank(std::vector<double> per_bank);
-
-/// Run `banks` independent per-bank experiments (bank b uses seed
-/// config.seed + b) and aggregate. Throws on banks == 0. Strictly serial;
-/// sim/parallel.h has the overload that fans banks out across a pool.
-MultiBankResult run_multi_bank(const ExperimentConfig& config,
-                               std::uint32_t banks);
 
 }  // namespace nvmsec

@@ -14,10 +14,6 @@
 
 namespace nvmsec {
 
-std::size_t ParallelOptions::effective_jobs() const {
-  return jobs == 0 ? ThreadPool::hardware_workers() : jobs;
-}
-
 namespace {
 
 // jobs > 1 with the same sink object reachable from two runs would let two
@@ -174,25 +170,6 @@ std::vector<LifetimeResult> run_experiments(
     if (checkpoint != nullptr) checkpoint->record(i);
   };
 
-  const std::size_t jobs =
-      std::min(options.effective_jobs(), configs.size());
-  if (jobs <= 1) {
-    // Today's exact serial path: one thread, maps rebuilt per run. The
-    // single profiler (when requested) is written by this thread only.
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (skip(i)) continue;
-      if (options.profiler != nullptr) {
-        ExperimentConfig profiled = configs[i];
-        profiled.observer.profiler = options.profiler;
-        results[i] = run_experiment(profiled);
-      } else {
-        results[i] = run_experiment(configs[i]);
-      }
-      record(i);
-    }
-    return results;
-  }
-
   // Profiled sweeps give every run a private Profiler (no locks on the hot
   // path) and merge them into options.profiler in input order after the
   // join; the original configs are never mutated.
@@ -208,22 +185,23 @@ std::vector<LifetimeResult> run_experiments(
     effective = profiled_configs;
   }
 
-  reject_shared_sinks(effective);
-  EnduranceMapCache* cache =
-      options.use_cache
-          ? (options.cache != nullptr ? options.cache
-                                      : &EnduranceMapCache::global())
-          : nullptr;
+  // The two rules that depend on the thread count: concurrent runs must
+  // not share a sink, and they share endurance maps through the cache.
+  const std::size_t threads = std::min(
+      options.jobs == 0 ? hardware_workers() : options.jobs, configs.size());
+  EnduranceMapCache* cache = nullptr;
+  if (threads > 1) {
+    reject_shared_sinks(effective);
+    cache = options.cache != nullptr ? options.cache
+                                     : &EnduranceMapCache::global();
+  }
 
-  // The calling thread drives alongside the pool inside parallel_for_each,
-  // so `jobs` total threads do experiment work.
-  ThreadPool pool(jobs - 1);
   std::vector<WorkerUtilization> utilization;
   const std::uint64_t section_start = Profiler::now_ns();
   const std::uint64_t cache_evictions_before =
       cache != nullptr ? cache->evictions() : 0;
-  pool.parallel_for_each(
-      effective.size(),
+  parallel_for(
+      threads, effective.size(),
       [&](std::size_t i) {
         if (skip(i)) return;
         results[i] = run_experiment(effective[i], cache);
@@ -233,12 +211,7 @@ std::vector<LifetimeResult> run_experiments(
   if (options.profiler != nullptr) {
     const std::uint64_t section_ns = Profiler::now_ns() - section_start;
     for (const Profiler& p : run_profilers) options.profiler->merge(p);
-    std::vector<ProfWorkerStats> workers;
-    workers.reserve(utilization.size());
-    for (const WorkerUtilization& u : utilization) {
-      workers.push_back(ProfWorkerStats{u.busy_ns, u.tasks});
-    }
-    options.profiler->set_utilization(workers, section_ns);
+    options.profiler->set_utilization(utilization, section_ns);
     if (cache != nullptr) {
       // hit/miss per run already came through the merge; evictions are a
       // cache-wide property only the sweep level can see.

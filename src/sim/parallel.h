@@ -1,6 +1,7 @@
-// Parallel experiment execution: fan independent runs out across a worker
-// pool, return results in input order, guarantee bit-identity with the
-// serial path.
+// Parallel experiment execution: fan independent runs out across `jobs`
+// threads with util/thread_pool.h's parallel_for (one code path at every
+// job count) and return results in input order, bit-identical at any job
+// count.
 //
 // Why this is safe: `run_experiment` is self-contained — every run derives
 // all randomness from its own `Rng(config.seed)`, owns its device, attack,
@@ -14,6 +15,8 @@
 // (the run is the only writer). The same sink pointer appearing in more
 // than one config is a data race waiting to happen; that is rejected with
 // a specific error when jobs > 1 instead of corrupting metrics silently.
+// At jobs = 1 the runs execute in input order on the calling thread, so a
+// shared sink (one event log for a seed sweep) sees them back to back.
 #pragma once
 
 #include <cstddef>
@@ -38,15 +41,13 @@ class Profiler;
 inline constexpr std::uint64_t kSweepJournalFingerprint = 0x53574545504A524EULL;
 
 struct ParallelOptions {
-  /// Worker threads doing experiment work. 0 = all hardware threads
-  /// (ThreadPool::hardware_workers()). 1 = strictly serial on the calling
-  /// thread, today's exact single-threaded code path (no pool, no cache).
+  /// Threads doing experiment work, the calling thread included. 0 = all
+  /// hardware threads (hardware_workers()); 1 = the calling thread only.
   std::size_t jobs{0};
-  /// Share endurance maps across runs with identical (geometry, endurance,
-  /// seed, jitter) — see sim/endurance_cache.h for the determinism
-  /// contract. Ignored (off) when jobs == 1.
-  bool use_cache{true};
-  /// Cache to use; nullptr = the process-global EnduranceMapCache.
+  /// Endurance-map cache shared by the runs when more than one thread runs
+  /// them (sim/endurance_cache.h has the determinism contract); nullptr =
+  /// the process-global EnduranceMapCache. A one-thread batch builds each
+  /// run's map afresh.
   EnduranceMapCache* cache{nullptr};
 
   /// Sweep-level crash safety: after every completed run, append one
@@ -60,31 +61,30 @@ struct ParallelOptions {
   bool resume{false};
 
   /// Aggregate self-profile for the whole sweep; nullptr = no profiling.
-  /// At jobs > 1 every run records into its own private Profiler and the
-  /// per-run instances are merged into this one in input order after the
-  /// join (merge is associative and commutative, so the result does not
-  /// depend on scheduling); pool worker utilization for the sweep section
-  /// is attached too. Configs must not carry their own observer.profiler
-  /// when this is set — the runner overwrites that field.
+  /// Every run records into its own private Profiler and the per-run
+  /// instances are merged into this one in input order after the join
+  /// (merge is associative and commutative, so the result does not depend
+  /// on scheduling); per-thread utilization for the sweep section is
+  /// attached too. Configs must not carry their own observer.profiler when
+  /// this is set — the runner overwrites that field.
   Profiler* profiler{nullptr};
-
-  [[nodiscard]] std::size_t effective_jobs() const;
 };
 
-/// Run every config and return their LifetimeResults in input order.
-/// Exceptions from individual runs propagate (smallest failing index
-/// wins deterministically). Throws std::invalid_argument when jobs > 1
-/// and two configs share an observer sink.
+/// Run every config and return their LifetimeResults in input order. A
+/// run that throws does not stop the others: they all run (and are
+/// journaled), then the exception of the smallest failing index is
+/// rethrown. Throws std::invalid_argument when jobs > 1 and two configs
+/// share an observer sink.
 std::vector<LifetimeResult> run_experiments(
     std::span<const ExperimentConfig> configs,
     const ParallelOptions& options = {});
 
-/// Parallel multi-bank lifetime: same per-bank seeding and the same
-/// first-bank-at-minimum aggregation as the serial run_multi_bank, with
-/// bank runs fanned out across the pool. Identical results at any job
-/// count.
+/// Multi-bank module lifetime: `banks` independent per-bank experiments
+/// (bank b uses seed config.seed + b) run as one run_experiments batch and
+/// aggregated in bank order (aggregate_multi_bank). Identical results at
+/// any job count. Throws on banks == 0.
 MultiBankResult run_multi_bank(const ExperimentConfig& config,
                                std::uint32_t banks,
-                               const ParallelOptions& options);
+                               const ParallelOptions& options = {});
 
 }  // namespace nvmsec

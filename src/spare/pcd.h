@@ -27,9 +27,9 @@ class Pcd final : public SpareScheme {
   }
   [[nodiscard]] PhysLineAddr working_line(std::uint64_t idx) const override;
   PhysLineAddr resolve(std::uint64_t idx) override;
-  // Lazy rehoming mutates the mapping, but every rehome (and every death
-  // that makes one necessary) bumps the epoch, so cached entries are
-  // flushed before they can go stale.
+  // Lazy rehoming mutates the mapping, but one resolve only serves the
+  // writes of the entry being written: only that entry can wear its line
+  // out meanwhile, and the engine resolves again after every rescue.
   [[nodiscard]] bool resolve_cacheable() const override { return true; }
   bool on_wear_out(std::uint64_t idx) override;
   [[nodiscard]] std::string name() const override { return "pcd"; }

@@ -1,88 +1,29 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <stdexcept>
-#include <utility>
+#include <thread>
 
 namespace nvmsec {
 
-ThreadPool::ThreadPool(std::size_t workers) {
-  if (workers == 0) {
-    throw std::invalid_argument("ThreadPool: worker count must be > 0");
-  }
-  threads_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  work_available_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_available_.wait(lock,
-                           [this] { return stopping_ || !queue_.empty(); });
-      if (stopping_) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();  // packaged tasks capture their own exceptions
-  }
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
-  std::future<void> future = packaged->get_future();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      throw std::runtime_error("ThreadPool: submit after shutdown");
-    }
-    queue_.emplace_back([packaged] { (*packaged)(); });
-  }
-  work_available_.notify_one();
-  return future;
-}
-
-void ThreadPool::parallel_for_each(
-    std::size_t n, const std::function<void(std::size_t)>& fn) {
-  parallel_for_each(n, fn, nullptr);
-}
-
-void ThreadPool::parallel_for_each(
-    std::size_t n, const std::function<void(std::size_t)>& fn,
-    std::vector<WorkerUtilization>* utilization) {
+void parallel_for(std::size_t threads, std::size_t n,
+                  const std::function<void(std::size_t)>& fn,
+                  std::vector<WorkerUtilization>* utilization) {
   if (utilization != nullptr) utilization->clear();
   if (n == 0) return;
+  const std::size_t drivers = std::clamp<std::size_t>(threads, 1, n);
+  if (utilization != nullptr) utilization->resize(drivers);
 
-  // Shared by the driver tasks: a dynamic index dispenser and one exception
-  // slot per index (written at most once, by the claimer of that index).
-  struct State {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::exception_ptr> errors;
-    explicit State(std::size_t count) : errors(count) {}
-  };
-  auto state = std::make_shared<State>(n);
-
-  // Each driver writes only its own utilization slot; the future joins
-  // below publish the slots to the caller with no locking in the loop.
-  const auto drive = [state, &fn, n](WorkerUtilization* slot) {
+  // One exception slot per index, written at most once, by its claimer.
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> errors(n);
+  const auto drive = [&](std::size_t driver) {
+    WorkerUtilization* const slot =
+        utilization != nullptr ? &(*utilization)[driver] : nullptr;
     for (;;) {
-      const std::size_t i =
-          state->next.fetch_add(1, std::memory_order_relaxed);
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
       const std::chrono::steady_clock::time_point start =
           slot != nullptr ? std::chrono::steady_clock::now()
@@ -90,7 +31,7 @@ void ThreadPool::parallel_for_each(
       try {
         fn(i);
       } catch (...) {
-        state->errors[i] = std::current_exception();
+        errors[i] = std::current_exception();
       }
       if (slot != nullptr) {
         slot->busy_ns += static_cast<std::uint64_t>(
@@ -102,27 +43,20 @@ void ThreadPool::parallel_for_each(
     }
   };
 
-  // One driver per worker (capped at n); the caller drives too, so a pool
-  // whose workers are all busy with unrelated tasks still makes progress.
-  const std::size_t drivers = std::min(worker_count(), n);
-  if (utilization != nullptr) utilization->resize(drivers + 1);
-  const auto slot_for = [utilization](std::size_t i) -> WorkerUtilization* {
-    return utilization != nullptr ? &(*utilization)[i] : nullptr;
-  };
-  std::vector<std::future<void>> futures;
-  futures.reserve(drivers);
-  for (std::size_t i = 0; i < drivers; ++i) {
-    futures.push_back(submit([&drive, slot = slot_for(i)] { drive(slot); }));
+  {
+    // jthreads join on destruction, including when a later spawn throws.
+    std::vector<std::jthread> helpers;
+    helpers.reserve(drivers - 1);
+    for (std::size_t d = 1; d < drivers; ++d) helpers.emplace_back(drive, d);
+    drive(0);
   }
-  drive(slot_for(drivers));
-  for (std::future<void>& f : futures) f.get();
 
-  for (const std::exception_ptr& error : state->errors) {
+  for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }
 }
 
-std::size_t ThreadPool::hardware_workers() {
+std::size_t hardware_workers() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }

@@ -101,7 +101,7 @@ Profiler make_profiler(std::uint64_t ns, std::uint64_t writes) {
   p.record(ProfPhase::kEngineRun, ns);
   p.record(ProfPhase::kEngineCountsDraw, ns / 2);
   p.add(ProfCounter::kBatchWrites, writes);
-  p.set_utilization({ProfWorkerStats{ns, 1}}, ns);
+  p.set_utilization({WorkerUtilization{ns, 1}}, ns);
   return p;
 }
 
@@ -172,7 +172,7 @@ TEST(ProfilerTest, JsonRoundTripsThroughProfileReport) {
   prof.record(ProfPhase::kExperimentSetup, 50);
   prof.add(ProfCounter::kBatchRuns, 2);
   prof.add(ProfCounter::kBatchWrites, 10);
-  prof.set_utilization({ProfWorkerStats{700, 3}, ProfWorkerStats{300, 1}},
+  prof.set_utilization({WorkerUtilization{700, 3}, WorkerUtilization{300, 1}},
                        1200);
 
   const ProfileDoc doc = parse_profile(prof.to_json(2000));

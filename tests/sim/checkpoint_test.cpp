@@ -4,6 +4,7 @@
 // kind where another is expected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -347,6 +348,37 @@ TEST(SweepCheckpointTest, ParallelSweepAppendsOneRecordPerRun) {
   options.resume = true;
   expect_same_results(run_experiments(configs, options), results);
   EXPECT_EQ(slurp(path), before);
+}
+
+TEST(SweepCheckpointTest, FailedRunDoesNotStopTheSweep) {
+  // Run 1 is invalid (BPA cannot run on the event engine). At every job
+  // count the sweep still runs and journals runs 0 and 2, then rethrows
+  // run 1's error.
+  std::vector<ExperimentConfig> configs = seed_sweep(3);
+  configs[1].mode = SimulationMode::kUniformEvent;
+  configs[1].attack = "bpa";
+  for (std::size_t jobs : {1u, 4u}) {
+    const std::string path = ::testing::TempDir() + "/sweep_failed_run_" +
+                             std::to_string(jobs) + ".jrnl";
+    fs::remove(path);
+    ParallelOptions options;
+    options.jobs = jobs;
+    options.checkpoint_path = path;
+    try {
+      run_experiments(configs, options);
+      ADD_FAILURE() << "expected invalid_argument at jobs " << jobs;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bpa"), std::string::npos)
+          << e.what();
+    }
+    auto records =
+        Journal::replay(path, kSweepJournalFingerprint, "kind of run");
+    ASSERT_TRUE(records.ok()) << records.status().to_string();
+    std::vector<std::uint64_t> keys;
+    for (const JournalRecord& rec : records.value()) keys.push_back(rec.key);
+    std::sort(keys.begin(), keys.end());
+    EXPECT_EQ(keys, (std::vector<std::uint64_t>{0, 2})) << "jobs " << jobs;
+  }
 }
 
 TEST(SweepCheckpointTest, TornTailIsTruncatedOnResume) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "sim/parallel.h"
 
@@ -74,8 +76,16 @@ TEST(MultiBankTest, IdenticalBanksTieToBankZero) {
 }
 
 TEST(MultiBankTest, ParallelPathMatchesSerialExactly) {
+  // Reference: the banks run one after another as plain experiments (bank
+  // b on seed + b) and are aggregated in bank order.
   const ExperimentConfig c = bank_config();
-  const MultiBankResult serial = run_multi_bank(c, 6);
+  std::vector<double> per_bank;
+  for (std::uint32_t b = 0; b < 6; ++b) {
+    ExperimentConfig bank = c;
+    bank.seed = c.seed + b;
+    per_bank.push_back(run_experiment(bank).normalized);
+  }
+  const MultiBankResult serial = aggregate_multi_bank(std::move(per_bank));
   for (std::size_t jobs : {1u, 3u, 8u}) {
     ParallelOptions options;
     options.jobs = jobs;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
+#include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "sim/endurance_cache.h"
 
@@ -149,6 +151,37 @@ TEST(RunExperimentsTest, JobsOneUsesSerialPath) {
   expect_matches_serial(configs, options);
 }
 
+TEST(RunExperimentsTest, OneJobSharedEventLogMatchesBackToBackRuns) {
+  // A seed sweep at jobs = 1 may share one event log: its runs execute in
+  // input order on the calling thread, so the log holds them back to back
+  // exactly as three plain run_experiment calls would write them.
+  std::vector<ExperimentConfig> configs(3);
+  for (std::uint64_t i = 0; i < configs.size(); ++i) {
+    configs[i].geometry = DeviceGeometry::scaled(2048, 128);
+    configs[i].endurance.endurance_at_mean = 1e6;
+    configs[i].spare_scheme = "maxwe";
+    configs[i].seed = 42 + i;
+  }
+  std::ostringstream reference_out;
+  {
+    EventLog log(reference_out);
+    for (ExperimentConfig c : configs) {
+      c.observer.events = &log;
+      run_experiment(c);
+    }
+  }
+  std::ostringstream swept_out;
+  {
+    EventLog log(swept_out);
+    for (ExperimentConfig& c : configs) c.observer.events = &log;
+    ParallelOptions options;
+    options.jobs = 1;
+    run_experiments(configs, options);
+  }
+  EXPECT_FALSE(reference_out.str().empty());
+  EXPECT_EQ(swept_out.str(), reference_out.str());
+}
+
 TEST(RunExperimentsTest, InvalidConfigPropagatesSmallestIndexError) {
   std::vector<ExperimentConfig> configs(4);
   for (auto& c : configs) {
@@ -180,7 +213,7 @@ TEST(RunExperimentsTest, SharedObserverSinksRejectedWhenParallel) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("serial-only"), std::string::npos);
   }
-  // The same configs are fine on the serial path.
+  // The same configs are fine on one thread, which runs them in order.
   ParallelOptions serial;
   serial.jobs = 1;
   EXPECT_NO_THROW(run_experiments(configs, serial));

@@ -2,55 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <numeric>
-#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace nvmsec {
 namespace {
 
-TEST(ThreadPoolTest, ZeroWorkersRejected) {
-  EXPECT_THROW(ThreadPool(0), std::invalid_argument);
-}
-
-TEST(ThreadPoolTest, ReportsWorkerCount) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.worker_count(), 3u);
-}
-
 TEST(ThreadPoolTest, HardwareWorkersIsPositive) {
-  EXPECT_GE(ThreadPool::hardware_workers(), 1u);
-}
-
-TEST(ThreadPoolTest, SubmittedTasksRun) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  std::future<void> ok = pool.submit([] {});
-  std::future<void> bad =
-      pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_NO_THROW(ok.get());
-  EXPECT_THROW(bad.get(), std::runtime_error);
+  EXPECT_GE(hardware_workers(), 1u);
 }
 
 TEST(ThreadPoolTest, ParallelForEachVisitsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
   constexpr std::size_t kN = 1000;
   std::vector<std::atomic<int>> visits(kN);
-  pool.parallel_for_each(kN, [&visits](std::size_t i) { ++visits[i]; });
+  parallel_for(4, kN, [&visits](std::size_t i) { ++visits[i]; });
   for (std::size_t i = 0; i < kN; ++i) {
     EXPECT_EQ(visits[i].load(), 1) << "index " << i;
   }
@@ -59,10 +30,9 @@ TEST(ThreadPoolTest, ParallelForEachVisitsEveryIndexExactlyOnce) {
 TEST(ThreadPoolTest, ParallelForEachResultsIndependentOfScheduling) {
   // Results written by index are identical however the indices were
   // interleaved — the determinism contract the experiment runner builds on.
-  ThreadPool pool(4);
   constexpr std::size_t kN = 257;
   std::vector<std::uint64_t> out(kN, 0);
-  pool.parallel_for_each(kN, [&out](std::size_t i) {
+  parallel_for(4, kN, [&out](std::size_t i) {
     // Uneven per-index work so dynamic claiming actually interleaves.
     std::uint64_t acc = i;
     for (std::size_t k = 0; k < (i % 7) * 1000; ++k) acc = acc * 6364136223846793005ULL + 1;
@@ -78,48 +48,70 @@ TEST(ThreadPoolTest, ParallelForEachResultsIndependentOfScheduling) {
 }
 
 TEST(ThreadPoolTest, ParallelForEachHandlesZeroAndFewerItemsThanWorkers) {
-  ThreadPool pool(8);
   std::atomic<int> counter{0};
-  pool.parallel_for_each(0, [&counter](std::size_t) { ++counter; });
+  parallel_for(8, 0, [&counter](std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 0);
-  pool.parallel_for_each(3, [&counter](std::size_t) { ++counter; });
+  parallel_for(8, 3, [&counter](std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 3);
 }
 
 TEST(ThreadPoolTest, ParallelForEachRethrowsSmallestFailingIndex) {
-  ThreadPool pool(4);
-  std::atomic<int> attempted{0};
-  try {
-    pool.parallel_for_each(100, [&attempted](std::size_t i) {
-      ++attempted;
-      if (i == 17 || i == 63) {
-        throw std::runtime_error("failed at " + std::to_string(i));
-      }
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "failed at 17");
+  for (std::size_t threads : {1u, 4u}) {
+    std::atomic<int> attempted{0};
+    try {
+      parallel_for(threads, 100, [&attempted](std::size_t i) {
+        ++attempted;
+        if (i == 17 || i == 63) {
+          throw std::runtime_error("failed at " + std::to_string(i));
+        }
+      });
+      ADD_FAILURE() << "expected an exception at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "failed at 17") << threads << " threads";
+    }
+    // Every index was still attempted (no early abandonment of siblings),
+    // at one thread as at four.
+    EXPECT_EQ(attempted.load(), 100) << threads << " threads";
   }
-  // Every index was still attempted (no early abandonment of siblings).
-  EXPECT_EQ(attempted.load(), 100);
 }
 
-TEST(ThreadPoolTest, PoolIsReusableAfterAnException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for_each(
-                   4, [](std::size_t) { throw std::runtime_error("boom"); }),
-               std::runtime_error);
-  std::atomic<int> counter{0};
-  pool.parallel_for_each(10, [&counter](std::size_t) { ++counter; });
-  EXPECT_EQ(counter.load(), 10);
+TEST(ThreadPoolTest, OneThreadRunsAscendingOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool all_on_caller = true;
+  std::vector<WorkerUtilization> utilization;
+  parallel_for(
+      1, 5,
+      [&](std::size_t i) {
+        order.push_back(i);
+        all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+      },
+      &utilization);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(all_on_caller);
+  ASSERT_EQ(utilization.size(), 1u);
+  EXPECT_EQ(utilization[0].tasks, 5u);
+}
+
+TEST(ThreadPoolTest, UtilizationHasOneSlotPerThreadThatRan) {
+  for (const auto& [threads, n] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {1, 10}, {3, 10}, {4, 2}, {8, 8}}) {
+    std::vector<WorkerUtilization> utilization(99);  // stale contents go
+    parallel_for(threads, n, [](std::size_t) {}, &utilization);
+    EXPECT_EQ(utilization.size(), std::min(threads, n))
+        << threads << " threads, " << n << " indices";
+    std::uint64_t tasks = 0;
+    for (const WorkerUtilization& u : utilization) tasks += u.tasks;
+    EXPECT_EQ(tasks, n) << threads << " threads, " << n << " indices";
+  }
 }
 
 TEST(ThreadPoolTest, TasksActuallyRunConcurrentlyWhenWorkersAllow) {
-  // Two tasks that each wait for the other can only finish if two threads
-  // run them simultaneously.
-  ThreadPool pool(2);
+  // Two indices that each wait for the other can only finish if two
+  // threads run them simultaneously.
   std::atomic<int> arrived{0};
-  const auto rendezvous = [&arrived] {
+  const auto rendezvous = [&arrived](std::size_t) {
     ++arrived;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -130,10 +122,7 @@ TEST(ThreadPoolTest, TasksActuallyRunConcurrentlyWhenWorkersAllow) {
       std::this_thread::yield();
     }
   };
-  auto a = pool.submit(rendezvous);
-  auto b = pool.submit(rendezvous);
-  EXPECT_NO_THROW(a.get());
-  EXPECT_NO_THROW(b.get());
+  EXPECT_NO_THROW(parallel_for(2, 2, rendezvous));
 }
 
 }  // namespace

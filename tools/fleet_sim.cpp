@@ -64,7 +64,9 @@ int main(int argc, char** argv) {
   cli.add_flag("shard-size",
                "devices per shard (aggregation/checkpoint granularity)",
                "256");
-  cli.add_flag("jobs", "worker threads (0 = all cores, 1 = serial)", "1");
+  cli.add_flag("jobs",
+               "worker threads (0 = all cores, 1 = the calling thread only)",
+               "1");
   cli.add_flag("mode", "event | stochastic | bit", "event");
   cli.add_flag("lines", "device size in lines (0 = paper 1 GB geometry)",
                "2048");

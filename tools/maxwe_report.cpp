@@ -9,7 +9,7 @@
 //
 //   maxwe_report --events run.events.jsonl
 //   maxwe_report --events maxwe.jsonl --compare freep.jsonl
-//   maxwe_report --events run.events.jsonl --md postmortem.md \
+//   maxwe_report --events run.events.jsonl --md postmortem.md
 //                --metrics run.json --snapshots run.snapshots.jsonl
 #include <algorithm>
 #include <cctype>

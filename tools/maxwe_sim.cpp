@@ -7,7 +7,7 @@
 //   maxwe_sim --attack uaa --spare none
 //
 //   # Fig. 8-style run on a scaled device
-//   maxwe_sim --mode stochastic --lines 2048 --regions 128 \
+//   maxwe_sim --mode stochastic --lines 2048 --regions 128
 //             --endurance-mean 5e4 --attack bpa --wl wawl --spare maxwe
 //
 //   # persist / reuse an endurance map
@@ -17,8 +17,8 @@
 #include <filesystem>
 #include <iostream>
 #include <memory>
+#include <utility>
 
-#include "core/maxwe.h"
 #include "nvm/endurance_io.h"
 #include "obs/session.h"
 #include "sim/event_sim.h"
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
                "1");
   cli.add_flag("jobs",
                "worker threads for --seeds/--banks sweeps (0 = all cores, "
-               "1 = serial code path)", "0");
+               "1 = the calling thread only)", "0");
   cli.add_flag("save-map", "write the endurance map CSV here and exit", "");
   cli.add_flag("load-map", "read the endurance map from this CSV", "");
   cli.add_flag("metrics-out", "write run metrics (counters/gauges) here", "");
@@ -261,6 +261,41 @@ int main(int argc, char** argv) {
     const std::string checkpoint_out = cli.get_string("checkpoint-out");
     const WriteCount checkpoint_interval = cli.get_uint("checkpoint-interval");
     const bool resume = cli.get_bool("resume");
+    const std::string load_map = cli.get_string("load-map");
+    if (!load_map.empty()) {
+      // A loaded map runs through a pipeline of its own: the event engine
+      // at uniform rates with the chosen spare scheme and nothing else.
+      // Refuse every flag it would otherwise silently ignore.
+      const std::pair<const char*, bool> ignored[] = {
+          {"--mode", config.mode != SimulationMode::kUniformEvent},
+          {"--attack-phases", !cli.get_string("attack-phases").empty()},
+          {"--attack-onset", attack_onset > 0},
+          {"--attack", config.attack != "uaa" && config.attack != "random"},
+          {"--wl", config.wear_leveler != "none"},
+          {"--seeds", seeds > 1},
+          {"--banks", banks > 1},
+          {"--max-writes", config.max_user_writes > 0},
+          {"--buffer-lines", config.dram_buffer_lines > 0},
+          {"--detect", config.detect},
+          {"--adaptive", config.adaptive},
+          {"--fault-stuck-at", config.fault.device.stuck_at_lines > 0},
+          {"--fault-early-death", config.fault.device.early_death_lines > 0},
+          {"--fault-outlier-regions",
+           config.fault.device.outlier_regions > 0},
+          {"--fault-flip-interval", config.fault.metadata.flip_interval > 0},
+          {"--checkpoint-out", !checkpoint_out.empty()},
+          {"--checkpoint-interval", checkpoint_interval > 0},
+          {"--resume", resume},
+      };
+      for (const auto& [flag, given] : ignored) {
+        if (given) {
+          std::cerr << "error: --load-map runs uniform-rate event-mode "
+                       "wear (uaa/random) with a spare scheme only; drop "
+                    << flag << "\n";
+          return 1;
+        }
+      }
+    }
     if (resume && checkpoint_out.empty()) {
       std::cerr << "error: --resume needs --checkpoint-out\n";
       return 1;
@@ -327,33 +362,21 @@ int main(int argc, char** argv) {
                 << " region endurances to " << path << "\n";
       return 0;
     }
-    // A loaded map replaces the generated one via a dedicated run below.
-    if (const std::string path = cli.get_string("load-map"); !path.empty()) {
-      log_info() << "loading endurance map from " << path;
-      const EnduranceMap loaded = load_endurance_csv(path).take();
-      config.geometry = loaded.geometry();
-      // run_experiment regenerates from the model; to honour the file we
-      // replicate its minimal pipeline here.
-      auto map = std::make_shared<EnduranceMap>(loaded);
+    // A loaded map replaces the generated one via a dedicated run below:
+    // run_experiment regenerates the map from the model, so this replicates
+    // its event-mode pipeline over the loaded map — optional line jitter,
+    // then the spare scheme run_experiment would build.
+    if (!load_map.empty()) {
+      log_info() << "loading endurance map from " << load_map;
+      auto map =
+          std::make_shared<EnduranceMap>(load_endurance_csv(load_map).take());
+      config.geometry = map->geometry();
       Rng rng(config.seed);
       if (config.line_jitter_sigma > 0) {
         map->apply_line_jitter(config.line_jitter_sigma, rng);
       }
-      std::unique_ptr<SpareScheme> spare;
-      if (config.spare_scheme == "maxwe") {
-        MaxWeParams p;
-        p.spare_fraction = config.spare_fraction;
-        p.swr_fraction = config.swr_fraction;
-        spare = make_maxwe(map, p);
-      } else if (config.spare_scheme == "pcd") {
-        spare = make_pcd(map, config.spare_lines(), rng);
-      } else if (config.spare_scheme == "ps") {
-        spare = make_ps(map, config.spare_lines(), rng);
-      } else if (config.spare_scheme == "ps-worst") {
-        spare = make_ps_worst(map, config.spare_lines(), rng);
-      } else {
-        spare = make_no_spare(map);
-      }
+      const std::unique_ptr<SpareScheme> spare =
+          build_spare_scheme(config, map, rng);
       UniformEventSimulator sim(map, *spare);
       sim.set_observer(config.observer);
       const LifetimeResult r = sim.run();
