@@ -142,11 +142,11 @@ WindowVerdict AttackDetector::close_window() {
         static_cast<double>(occupied) / static_cast<double>(reachable);
     v.sequential = static_cast<double>(seq_steps_) / total;
 
-    if (v.occupancy < params_.concentration_occupancy_max) {
+    if (v.occupancy < kConcentrationOccupancyMax) {
       v.anomalous = true;
       v.kind = AttackKind::kConcentration;
-    } else if (v.sequential > params_.sweep_sequential_min ||
-               v.uniformity < params_.sweep_uniformity_max) {
+    } else if (v.sequential > kSweepSequentialMin ||
+               v.uniformity < kSweepUniformityMax) {
       v.anomalous = true;
       v.kind = AttackKind::kSweep;
     }
@@ -159,7 +159,7 @@ WindowVerdict AttackDetector::close_window() {
     consecutive_normal_ = 0;
     active_kind_ = v.kind;
     if (level_ != AlarmLevel::kUnderAttack) {
-      level_ = consecutive_anomalous_ >= params_.raise_windows
+      level_ = consecutive_anomalous_ >= kRaiseWindows
                    ? AlarmLevel::kUnderAttack
                    : AlarmLevel::kSuspicious;
     }
@@ -171,7 +171,7 @@ WindowVerdict AttackDetector::close_window() {
       level_ = AlarmLevel::kBenign;
       active_kind_ = AttackKind::kNone;
     } else if (level_ == AlarmLevel::kUnderAttack &&
-               consecutive_normal_ >= params_.clear_windows) {
+               consecutive_normal_ >= kClearWindows) {
       level_ = AlarmLevel::kBenign;
       active_kind_ = AttackKind::kNone;
     }

@@ -75,17 +75,18 @@ struct DetectorParams {
   std::uint32_t coarse_buckets{64};
   /// Fine histogram resolution for the occupancy statistic.
   std::uint32_t fine_buckets{1024};
-  /// Window is sweep-anomalous when u < this (too uniform to be natural)...
-  double sweep_uniformity_max{0.25};
-  /// ...or when the sequential fraction exceeds this (contiguous sweep).
-  double sweep_sequential_min{0.60};
-  /// Window is concentration-anomalous when occupancy falls below this.
-  double concentration_occupancy_max{0.15};
-  /// Consecutive anomalous windows before kUnderAttack is declared.
-  std::uint32_t raise_windows{2};
-  /// Consecutive normal windows before an alarm clears back to kBenign.
-  std::uint32_t clear_windows{4};
 };
+
+/// Window is sweep-anomalous when u < this (too uniform to be natural)...
+inline constexpr double kSweepUniformityMax = 0.25;
+/// ...or when the sequential fraction exceeds this (contiguous sweep).
+inline constexpr double kSweepSequentialMin = 0.60;
+/// Window is concentration-anomalous when occupancy falls below this.
+inline constexpr double kConcentrationOccupancyMax = 0.15;
+/// Consecutive anomalous windows before kUnderAttack is declared.
+inline constexpr std::uint32_t kRaiseWindows = 2;
+/// Consecutive normal windows before an alarm clears back to kBenign.
+inline constexpr std::uint32_t kClearWindows = 4;
 
 /// Everything one window close decided, for event emission and tests.
 struct WindowVerdict {

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <span>
 #include <stdexcept>
-#include <tuple>
 #include <vector>
 
 #include "obs/event_log.h"
@@ -15,16 +14,12 @@
 #include "obs/profiler.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
-#include "sim/wear_report.h"
-#include "util/arena.h"
+#include "util/stats.h"
 
 namespace nvmsec {
 
 namespace {
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
-
-/// Min-heap entry: (death time in rounds, line, version at push time).
-using HeapEntry = std::tuple<double, std::uint32_t, std::uint32_t>;
 }  // namespace
 
 UniformEventSimulator::UniformEventSimulator(
@@ -83,15 +78,14 @@ LifetimeResult UniformEventSimulator::run() {
   const ScopedTimer run_span(obs_.trace, "event_sim.run");
   const ScopedProfPhase prof_span(obs_.profiler, ProfPhase::kEventRun);
 
-  // Working state lives in a bump arena: a run-local one by default, the
-  // caller's via set_scratch() when many devices run back-to-back.
-  Arena local_scratch;
-  Arena& arena = scratch_ != nullptr ? *scratch_ : local_scratch;
-  arena.reset();
+  // Working state: the caller's scratch via set_scratch() when many
+  // devices run back to back, the simulator's own otherwise.
+  EventScratch& scratch = scratch_ != nullptr ? *scratch_ : own_scratch_;
 
   // Integer budgets identical to Device's rounding, kept as doubles for the
   // continuous-time arithmetic.
-  const std::span<double> remaining = arena.make_span<double>(n);
+  scratch.remaining.resize(n);
+  const std::span<double> remaining(scratch.remaining);
   for (std::uint64_t l = 0; l < n; ++l) {
     remaining[l] = static_cast<double>(static_cast<WriteCount>(std::llround(
         std::max(1.0, endurance_->line_endurance(PhysLineAddr{l})))));
@@ -99,8 +93,8 @@ LifetimeResult UniformEventSimulator::run() {
 
   // Initial budgets, kept so per-line utilization (consumed / budget) can be
   // reported at end of run — the event-driven analogue of analyze_wear().
-  const std::span<double> budget = arena.make_span<double>(n);
-  std::copy(remaining.begin(), remaining.end(), budget.begin());
+  scratch.budget.assign(remaining.begin(), remaining.end());
+  const std::span<const double> budget(scratch.budget);
 
   // Per-index write rate (writes per round): 1.0 everywhere in the uniform
   // default, the normalized weight vector otherwise. A line's wear rate is
@@ -112,14 +106,17 @@ LifetimeResult UniformEventSimulator::run() {
     return weighted ? index_rates_[idx] : 1.0;
   };
 
-  const std::span<double> rate = arena.make_span<double>(n);
-  const std::span<double> last_t = arena.make_span<double>(n);
-  const std::span<std::uint32_t> version = arena.make_span<std::uint32_t>(n);
+  scratch.rate.assign(n, 0.0);
+  scratch.last_t.assign(n, 0.0);
+  scratch.version.assign(n, 0);
+  const std::span<double> rate(scratch.rate);
+  const std::span<double> last_t(scratch.last_t);
+  const std::span<std::uint32_t> version(scratch.version);
   // Reverse map backing line -> working indices, as intrusive lists.
-  const std::span<std::uint32_t> list_head = arena.make_span<std::uint32_t>(n);
-  const std::span<std::uint32_t> list_next = arena.make_span<std::uint32_t>(u);
-  std::fill(list_head.begin(), list_head.end(), kNone);
-  std::fill(list_next.begin(), list_next.end(), kNone);
+  scratch.list_head.assign(n, kNone);
+  scratch.list_next.assign(u, kNone);
+  const std::span<std::uint32_t> list_head(scratch.list_head);
+  const std::span<std::uint32_t> list_next(scratch.list_next);
 
   for (std::uint64_t idx = 0; idx < u; ++idx) {
     const std::uint64_t b = scheme_.resolve(idx).value();
@@ -128,19 +125,18 @@ LifetimeResult UniformEventSimulator::run() {
     rate[b] += idx_rate(static_cast<std::uint32_t>(idx));
   }
 
-  // The death heap's storage comes from the arena too: reserving up front
-  // makes the common case (deaths ≈ lines) grow-free, and any overflow
-  // growth still bump-allocates instead of hitting the system allocator.
-  using HeapVec = std::vector<HeapEntry, ArenaAllocator<HeapEntry>>;
-  HeapVec heap_storage{ArenaAllocator<HeapEntry>(&arena)};
-  heap_storage.reserve(n + 64);
-  std::priority_queue<HeapEntry, HeapVec, std::greater<>> heap{
-      std::greater<>{}, std::move(heap_storage)};
+  // The death heap: reserving up front makes the common case (deaths ≈
+  // lines) grow-free. push and pop are the calls std::priority_queue makes.
+  auto& heap = scratch.heap;
+  heap.clear();
+  heap.reserve(n + 64);
+  const auto push = [&heap](double death_time, std::uint64_t line,
+                            std::uint32_t v) {
+    heap.emplace_back(death_time, static_cast<std::uint32_t>(line), v);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+  };
   for (std::uint64_t l = 0; l < n; ++l) {
-    if (rate[l] > 0.0) {
-      heap.emplace(remaining[l] / rate[l], static_cast<std::uint32_t>(l),
-                   version[l]);
-    }
+    if (rate[l] > 0.0) push(remaining[l] / rate[l], l, version[l]);
   }
 
   // Accrue wear on `l` up to time `t` under its current rate.
@@ -159,12 +155,14 @@ LifetimeResult UniformEventSimulator::run() {
   // most once here (dead lines are never re-homed onto), so exact.
   std::span<std::uint64_t> region_line_deaths;
   if (obs_.events != nullptr) {
-    region_line_deaths = arena.make_span<std::uint64_t>(geom.num_regions());
+    scratch.region_line_deaths.assign(geom.num_regions(), 0);
+    region_line_deaths = scratch.region_line_deaths;
   }
 
   while (!heap.empty() && !result.failed) {
-    const auto [death_time, line, v] = heap.top();
-    heap.pop();
+    const auto [death_time, line, v] = heap.front();
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    heap.pop_back();
     if (v != version[line] || rate[line] <= 0.0) continue;  // stale entry
 
     t = death_time;
@@ -258,10 +256,7 @@ LifetimeResult UniformEventSimulator::run() {
       list_head[nb] = idx;
       rate[nb] += idx_rate(idx);
       ++version[nb];
-      if (rate[nb] > 0.0) {
-        heap.emplace(t + remaining[nb] / rate[nb],
-                     static_cast<std::uint32_t>(nb), version[nb]);
-      }
+      if (rate[nb] > 0.0) push(t + remaining[nb] / rate[nb], nb, version[nb]);
       idx = next_idx;
     }
   }
@@ -288,15 +283,13 @@ LifetimeResult UniformEventSimulator::run() {
   // Per-line utilization Gini at end of run, matching analyze_wear()'s
   // definition. Lines still under load accrued wear since their last
   // settle; bring every line up to the failure time first.
-  {
-    const std::span<double> utilization = arena.make_span<double>(n);
-    for (std::uint64_t l = 0; l < n; ++l) {
-      if (rate[l] > 0.0) settle(l, t);
-      utilization[l] =
-          budget[l] > 0 ? (budget[l] - remaining[l]) / budget[l] : 0.0;
-    }
-    result.wear_gini = gini_coefficient_inplace(utilization);
+  scratch.utilization.resize(n);
+  for (std::uint64_t l = 0; l < n; ++l) {
+    if (rate[l] > 0.0) settle(l, t);
+    scratch.utilization[l] =
+        budget[l] > 0 ? (budget[l] - remaining[l]) / budget[l] : 0.0;
   }
+  result.wear_gini = gini_in_place(scratch.utilization);
 
   if (obs_.events != nullptr) {
     obs_.events->set_now(result.user_writes);

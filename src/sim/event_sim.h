@@ -24,7 +24,9 @@
 // engine cross-checks this on scaled configurations in the tests.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "nvm/endurance_map.h"
@@ -34,7 +36,24 @@
 
 namespace nvmsec {
 
-class Arena;
+/// run()'s working state. A caller that simulates many devices back to back
+/// (ExperimentWorkspace) keeps one and lends it to each simulator. run()
+/// sizes every vector on entry, so only their capacity carries over from
+/// one run to the next.
+struct EventScratch {
+  std::vector<double> remaining;  ///< per line: write budget left
+  std::vector<double> budget;     ///< per line: initial write budget
+  std::vector<double> rate;       ///< per line: writes per round
+  std::vector<double> last_t;     ///< per line: time wear was last settled
+  std::vector<std::uint32_t> version;    ///< per line: live heap entry
+  std::vector<std::uint32_t> list_head;  ///< per line: first index served
+  std::vector<std::uint32_t> list_next;  ///< per index: next on its line
+  std::vector<std::uint64_t> region_line_deaths;  ///< per region, if events
+  std::vector<double> utilization;  ///< per line, for the final wear Gini
+  /// Min-heap (std::push_heap/pop_heap, std::greater<>) of (death time in
+  /// rounds, line, version at push time).
+  std::vector<std::tuple<double, std::uint32_t, std::uint32_t>> heap;
+};
 
 class UniformEventSimulator {
  public:
@@ -56,13 +75,10 @@ class UniformEventSimulator {
   /// line, and the scheme must eventually report failure.
   LifetimeResult run();
 
-  /// Borrow a scratch arena for run()'s working state (budgets, rate
-  /// vectors, the death heap). run() resets it on entry, so a caller that
-  /// simulates many devices back-to-back (the fleet runner) pays the
-  /// allocations once and bump-allocates thereafter. nullptr (the default)
-  /// falls back to a run-local arena. Purely an allocation strategy: the
-  /// simulated trajectory is bit-identical either way.
-  void set_scratch(Arena* arena) { scratch_ = arena; }
+  /// Borrow `scratch` for run()'s working state. nullptr (the default)
+  /// uses the simulator's own. Purely an allocation strategy: the simulated
+  /// trajectory is bit-identical either way.
+  void set_scratch(EventScratch* scratch) { scratch_ = scratch; }
 
   /// Attach observability sinks. Wear-out events become trace instants
   /// (there is no Device here to emit them), counters mirror the stochastic
@@ -76,7 +92,8 @@ class UniformEventSimulator {
   Observer obs_{};
   std::shared_ptr<const EnduranceMap> endurance_;
   SpareScheme& scheme_;
-  Arena* scratch_{nullptr};
+  EventScratch* scratch_{nullptr};
+  EventScratch own_scratch_;
   /// Normalized per-index rates (writes per round); empty means uniform.
   std::vector<double> index_rates_;
 };

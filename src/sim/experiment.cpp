@@ -129,9 +129,12 @@ std::uint64_t config_fingerprint(const ExperimentConfig& config) {
   w.u64(config.hotspot_working_set);
   w.str(config.wear_leveler);
   w.u64(config.wl.swap_interval);
-  w.u32(config.wl.bwl_classes);
-  w.f64(config.wl.bwl_beta);
-  w.f64(config.wl.wawl_alpha);
+  // These three and the five detector thresholds below were config fields;
+  // hashing the constants where the fields were keeps the fingerprints of
+  // existing checkpoints and journals.
+  w.u32(kBwlClasses);
+  w.f64(kBwlBeta);
+  w.f64(kWawlAlpha);
   w.u64(config.wl.group_lines);
   w.u64(config.wl.tlsr_subregion_lines);
   w.str(config.spare_scheme);
@@ -155,11 +158,11 @@ std::uint64_t config_fingerprint(const ExperimentConfig& config) {
   w.u64(config.detector.window_writes);
   w.u32(config.detector.coarse_buckets);
   w.u32(config.detector.fine_buckets);
-  w.f64(config.detector.sweep_uniformity_max);
-  w.f64(config.detector.sweep_sequential_min);
-  w.f64(config.detector.concentration_occupancy_max);
-  w.u32(config.detector.raise_windows);
-  w.u32(config.detector.clear_windows);
+  w.f64(kSweepUniformityMax);
+  w.f64(kSweepSequentialMin);
+  w.f64(kConcentrationOccupancyMax);
+  w.u32(kRaiseWindows);
+  w.u32(kClearWindows);
   w.boolean(config.adaptive);
   w.f64(config.adaptive_policy.escalate_factor);
   w.u32(config.adaptive_policy.max_steps);
@@ -172,15 +175,6 @@ std::uint64_t config_fingerprint(const ExperimentConfig& config) {
     h *= 0x100000001b3ULL;
   }
   return h;
-}
-
-LifetimeResult run_experiment(const ExperimentConfig& config) {
-  return run_experiment(config, nullptr, nullptr);
-}
-
-LifetimeResult run_experiment(const ExperimentConfig& config,
-                              EnduranceMapCache* cache) {
-  return run_experiment(config, cache, nullptr);
 }
 
 ExperimentWorkspace::ExperimentWorkspace() = default;
@@ -304,6 +298,10 @@ LifetimeResult run_experiment(const ExperimentConfig& config,
   std::optional<ScopedProfPhase> setup_span;
   setup_span.emplace(prof, ProfPhase::kExperimentSetup);
 
+  // The map (unless cached), spare scheme, device and event scratch come
+  // from the caller's workspace, or from a local one built for this run.
+  ExperimentWorkspace local_workspace;
+  ExperimentWorkspace& ws = workspace != nullptr ? *workspace : local_workspace;
   std::shared_ptr<const EnduranceMap> map;
   if (cache != nullptr) {
     EnduranceMapCache::BuiltMap built =
@@ -318,26 +316,10 @@ LifetimeResult run_experiment(const ExperimentConfig& config,
       prof->add(built.hit ? ProfCounter::kEnduranceCacheHit
                           : ProfCounter::kEnduranceCacheMiss);
     }
-  } else if (workspace != nullptr) {
-    map = workspace->acquire_map(config, rng);
   } else {
-    const EnduranceModel model(config.endurance);
-    auto fresh = std::make_shared<EnduranceMap>(
-        EnduranceMap::from_model(config.geometry, model, rng));
-    if (config.line_jitter_sigma > 0) {
-      fresh->apply_line_jitter(config.line_jitter_sigma, rng);
-    }
-    map = std::move(fresh);
+    map = ws.acquire_map(config, rng);
   }
-
-  std::unique_ptr<SpareScheme> owned_spare;
-  SpareScheme* spare = nullptr;
-  if (workspace != nullptr) {
-    spare = workspace->acquire_spare(config, map, rng);
-  } else {
-    owned_spare = build_spare_scheme(config, map, rng);
-    spare = owned_spare.get();
-  }
+  SpareScheme* const spare = ws.acquire_spare(config, map, rng);
 
   // Device faults live in a copy of the map: the spare scheme and wear
   // leveler above planned on the clean manufacture-time characterization,
@@ -368,7 +350,7 @@ LifetimeResult run_experiment(const ExperimentConfig& config,
           "stochastic mode to include wear-leveler overhead");
     }
     UniformEventSimulator sim(device_map, *spare);
-    if (workspace != nullptr) sim.set_scratch(&workspace->arena());
+    sim.set_scratch(&ws.event_scratch_);
     // The event engine bulk-advances any *stationary* per-index write-rate
     // vector (the mean-field limit of the stochastic sampling): uniform for
     // uaa/random, a hot working set for hotspot, the scattered skew for
@@ -476,15 +458,7 @@ LifetimeResult run_experiment(const ExperimentConfig& config,
     return engine.run(config.max_user_writes);
   }
 
-  std::optional<Device> local_device;
-  Device* device = nullptr;
-  if (workspace != nullptr) {
-    device = workspace->acquire_device(device_map);
-  } else {
-    local_device.emplace(device_map);
-    device = &*local_device;
-  }
-  Engine engine(*device, *attack, *wl, *spare, rng);
+  Engine engine(*ws.acquire_device(device_map), *attack, *wl, *spare, rng);
   engine.set_fast_path(config.fastpath);
   engine.set_observer(config.observer);
   std::unique_ptr<DramBuffer> buffer;

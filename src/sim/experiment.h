@@ -15,8 +15,8 @@
 #include "nvm/endurance_model.h"
 #include "nvm/geometry.h"
 #include "obs/observer.h"
+#include "sim/event_sim.h"
 #include "sim/lifetime.h"
-#include "util/arena.h"
 #include "wearlevel/adaptive.h"
 #include "wearlevel/wear_leveler.h"
 
@@ -24,6 +24,8 @@ namespace nvmsec {
 
 class Device;
 class EnduranceMap;
+class EnduranceMapCache;
+class ExperimentWorkspace;
 class Rng;
 class SpareScheme;
 
@@ -143,7 +145,16 @@ struct ExperimentConfig {
 /// inconsistent configs (e.g. event mode with a non-uniform attack) and
 /// std::runtime_error (carrying a Status string) when a resume checkpoint
 /// is missing, corrupt, or from a different configuration.
-LifetimeResult run_experiment(const ExperimentConfig& config);
+///
+/// The spare scheme, device and event-engine scratch come from `workspace`
+/// (a local one when nullptr), and so does the endurance map unless
+/// `cache` is given (see sim/endurance_cache.h). Neither changes the
+/// result by a bit: the cache replays the post-map RNG state, so every
+/// later draw (spare-scheme placement, attack, engine) is unchanged, and a
+/// workspace only recycles storage.
+LifetimeResult run_experiment(const ExperimentConfig& config,
+                              EnduranceMapCache* cache = nullptr,
+                              ExperimentWorkspace* workspace = nullptr);
 
 /// Stable 64-bit fingerprint of every field that shapes the simulation
 /// trajectory (geometry, endurance model, seed, attack, leveler, scheme,
@@ -161,36 +172,23 @@ std::unique_ptr<SpareScheme> build_spare_scheme(
     const ExperimentConfig& config,
     const std::shared_ptr<const EnduranceMap>& endurance, Rng& rng);
 
-class EnduranceMapCache;
-
-/// Same run, but source the endurance map from `cache` (see
-/// sim/endurance_cache.h). Bit-identical to the plain overload at any hit
-/// rate: the cache replays the post-map RNG state, so every subsequent draw
-/// (spare-scheme placement, attack, engine) is unchanged. nullptr falls
-/// back to the plain overload.
-LifetimeResult run_experiment(const ExperimentConfig& config,
-                              EnduranceMapCache* cache);
-
-/// Reusable per-worker state for back-to-back run_experiment calls — the
-/// fleet runner's setup-amortization unit. Holds the heavy objects one
-/// device run constructs and the next run of the same shape can recycle:
-/// the endurance map (rebuilt in place with identical RNG draws), the
-/// spare scheme (rebound via SpareScheme::rebind when the scheme supports
-/// it), the Device wear state, and a bump arena for engine scratch.
+/// Where run_experiment gets its heavy objects: the endurance map (rebuilt
+/// in place with identical RNG draws), the spare scheme (rebound via
+/// SpareScheme::rebind when the scheme supports it), the Device wear state
+/// and the event engine's scratch. An empty workspace constructs each one;
+/// a workspace kept across back-to-back runs (one per fleet worker thread)
+/// recycles whatever the next run's shape allows.
 ///
-/// Strictly an allocation strategy: run_experiment(config, cache, ws) is
-/// bit-identical to run_experiment(config, cache) for every config, and a
-/// workspace may be handed configs of different shapes — anything that
-/// cannot be recycled is rebuilt fresh. Not thread-safe; one workspace per
-/// worker.
+/// Strictly an allocation strategy: a run is bit-identical whichever
+/// workspace it gets, and a workspace may be handed configs of different
+/// shapes — anything that cannot be recycled is rebuilt. Not thread-safe;
+/// one workspace per thread.
 class ExperimentWorkspace {
  public:
   ExperimentWorkspace();
   ~ExperimentWorkspace();
   ExperimentWorkspace(const ExperimentWorkspace&) = delete;
   ExperimentWorkspace& operator=(const ExperimentWorkspace&) = delete;
-
-  [[nodiscard]] Arena& arena() { return arena_; }
 
  private:
   friend LifetimeResult run_experiment(const ExperimentConfig& config,
@@ -199,7 +197,8 @@ class ExperimentWorkspace {
 
   /// Slot acquisition used by run_experiment. Each returns an object
   /// indistinguishable from fresh construction, reusing the slot's storage
-  /// when the previous run left it in a compatible, exclusively-held state.
+  /// when the previous run left it in a compatible, exclusively-held state
+  /// and constructing it otherwise.
   std::shared_ptr<const EnduranceMap> acquire_map(const ExperimentConfig& config,
                                                   Rng& rng);
   SpareScheme* acquire_spare(const ExperimentConfig& config,
@@ -207,7 +206,7 @@ class ExperimentWorkspace {
                              Rng& rng);
   Device* acquire_device(std::shared_ptr<const EnduranceMap> device_map);
 
-  Arena arena_;
+  EventScratch event_scratch_;
   /// Owned endurance-map slot, rebuilt in place between runs when the
   /// geometry matches and no one else retained a reference.
   std::shared_ptr<EnduranceMap> map_;
@@ -221,13 +220,6 @@ class ExperimentWorkspace {
   std::unique_ptr<Device> device_;
   bool device_on_map_{false};  ///< device_ holds a reference to map_
 };
-
-/// Same run again, recycling `workspace`'s objects where the config shape
-/// allows (nullptr = the plain cache overload). Bit-identical to the other
-/// overloads in every case.
-LifetimeResult run_experiment(const ExperimentConfig& config,
-                              EnduranceMapCache* cache,
-                              ExperimentWorkspace* workspace);
 
 /// Paper §5.1's scaled-down stochastic configuration used by the BPA
 /// benches and integration tests: `num_lines` lines, `num_regions` regions,

@@ -1,7 +1,6 @@
 #include "sim/fleet.h"
 
 #include <algorithm>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 
@@ -375,9 +374,9 @@ std::uint64_t shard_count(const FleetSpec& spec, std::uint64_t shard) {
 /// `prof` is the shard's private profiler (nullptr = no profiling): the
 /// shard runs on exactly one thread and its profiler is merged after the
 /// join, so the engines can record into it with no synchronization.
-/// `workspace` is the worker's reusable setup state (maps, spare scheme,
-/// device, arena); it is an allocation strategy only and cannot change the
-/// aggregate.
+/// `workspace` is the thread's reusable setup state (map, spare scheme,
+/// device, event scratch); it is an allocation strategy only and cannot
+/// change the aggregate.
 FleetAggregate run_shard(const FleetSpec& spec, std::uint64_t shard,
                          ExperimentWorkspace* workspace, Profiler* prof) {
   const ScopedProfPhase shard_span(prof, ProfPhase::kFleetShard);
@@ -488,31 +487,6 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
     pending.resize(options.stop_after_shards);
   }
 
-  // Per-worker reusable setup state, pooled across shards: a worker checks
-  // a workspace out for a shard and returns it after, so steady-state shard
-  // execution reuses the previous shard's map/spare/device/arena instead of
-  // reallocating them per device. Fleet device seeds are all distinct, so
-  // an endurance-map cache would never hit; the workspaces' in-place map
-  // rebuilds replace it.
-  std::mutex workspace_mu;
-  std::vector<std::unique_ptr<ExperimentWorkspace>> workspace_pool;
-  const auto acquire_workspace = [&]() -> std::unique_ptr<ExperimentWorkspace> {
-    {
-      const std::lock_guard<std::mutex> lock(workspace_mu);
-      if (!workspace_pool.empty()) {
-        std::unique_ptr<ExperimentWorkspace> ws =
-            std::move(workspace_pool.back());
-        workspace_pool.pop_back();
-        return ws;
-      }
-    }
-    return std::make_unique<ExperimentWorkspace>();
-  };
-  const auto release_workspace = [&](std::unique_ptr<ExperimentWorkspace> ws) {
-    const std::lock_guard<std::mutex> lock(workspace_mu);
-    workspace_pool.push_back(std::move(ws));
-  };
-
   // Per-shard private profilers: a shard is claimed by exactly one thread,
   // so its profiler needs no locks; everything merges into options.profiler
   // in shard-index order after the join (merge is associative and
@@ -526,6 +500,12 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
   const std::size_t jobs = std::min<std::size_t>(
       options.jobs == 0 ? hardware_workers() : options.jobs,
       std::max<std::size_t>(pending.size(), 1));
+  // One reusable setup state per thread slot, so every device after a
+  // thread's first recycles its map/spare/device/event scratch instead of
+  // reallocating them. Fleet device seeds are all distinct, so an
+  // endurance-map cache would never hit; the workspaces' in-place map
+  // rebuilds replace it.
+  std::vector<ExperimentWorkspace> workspaces(jobs);
 
   // Completion-side state: checkpoint mirror, heartbeat progress and shard
   // wall-time telemetry, all updated under one lock. The progress aggregate
@@ -581,19 +561,18 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
       options.heartbeat->sample(make_sample_locked());
     }
   };
-  const auto run_one = [&](std::uint64_t shard) {
+  const auto run_one = [&](std::size_t k, std::size_t thread) {
+    const std::uint64_t shard = pending[k];
     const std::uint64_t start_ns = Profiler::now_ns();
-    std::unique_ptr<ExperimentWorkspace> ws = acquire_workspace();
-    FleetAggregate agg = run_shard(spec, shard, ws.get(), shard_prof(shard));
-    release_workspace(std::move(ws));
+    FleetAggregate agg =
+        run_shard(spec, shard, &workspaces[thread], shard_prof(shard));
     complete_shard(shard, std::move(agg), Profiler::now_ns() - start_ns);
   };
 
   std::vector<WorkerUtilization> utilization;
   const std::uint64_t section_start = Profiler::now_ns();
-  parallel_for(
-      jobs, pending.size(), [&](std::size_t k) { run_one(pending[k]); },
-      prof != nullptr ? &utilization : nullptr);
+  parallel_for(jobs, pending.size(), run_one,
+               prof != nullptr ? &utilization : nullptr);
   if (prof != nullptr) {
     prof->set_utilization(utilization, Profiler::now_ns() - section_start);
     for (const Profiler& p : shard_profilers) prof->merge(p);

@@ -202,7 +202,7 @@ std::vector<LifetimeResult> run_experiments(
       cache != nullptr ? cache->evictions() : 0;
   parallel_for(
       threads, effective.size(),
-      [&](std::size_t i) {
+      [&](std::size_t i, std::size_t) {
         if (skip(i)) return;
         results[i] = run_experiment(effective[i], cache);
         record(i);

@@ -1,30 +1,10 @@
 #include "sim/wear_report.h"
 
 #include <algorithm>
-#include <stdexcept>
+
+#include "util/stats.h"
 
 namespace nvmsec {
-
-double gini_coefficient_inplace(std::span<double> values) {
-  if (values.empty()) return 0.0;
-  for (double v : values) {
-    if (v < 0) throw std::invalid_argument("gini_coefficient: negative value");
-  }
-  std::sort(values.begin(), values.end());
-  const auto n = static_cast<double>(values.size());
-  double weighted = 0, total = 0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    weighted += (static_cast<double>(i) + 1.0) * values[i];
-    total += values[i];
-  }
-  if (total <= 0) return 0.0;
-  // Gini = (2 * sum(i * x_i) / (n * sum x)) - (n + 1) / n, with x sorted.
-  return 2.0 * weighted / (n * total) - (n + 1.0) / n;
-}
-
-double gini_coefficient(std::vector<double> values) {
-  return gini_coefficient_inplace(std::span<double>(values));
-}
 
 WearReport analyze_wear(const Device& device) {
   const DeviceGeometry& geom = device.geometry();
@@ -50,7 +30,7 @@ WearReport analyze_wear(const Device& device) {
   }
   report.harvest_fraction =
       device.total_budget() > 0 ? consumed / device.total_budget() : 0.0;
-  report.utilization_gini = gini_coefficient(std::move(utilization));
+  report.utilization_gini = gini_in_place(utilization);
   return report;
 }
 

@@ -8,11 +8,9 @@
 // Max-WE's "maximize the weak lines' endurance" directly observable.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "nvm/device.h"
-#include "util/stats.h"
 
 namespace nvmsec {
 
@@ -34,12 +32,5 @@ struct WearReport {
 
 /// Summarize the wear state of `device` (valid at any point in a run).
 WearReport analyze_wear(const Device& device);
-
-/// Gini coefficient of non-negative values; 0 for empty/uniform input.
-double gini_coefficient(std::vector<double> values);
-
-/// Same, over caller-owned scratch (sorted in place, no allocation) — the
-/// allocation-free variant the fleet hot path uses.
-double gini_coefficient_inplace(std::span<double> values);
 
 }  // namespace nvmsec

@@ -119,13 +119,6 @@ class SpareScheme {
   std::uint64_t mapping_epoch_{0};
 };
 
-/// Parameters shared by the bundled spare schemes. `spare_lines` is an
-/// absolute line count so PS/PCD can be budget-matched exactly to Max-WE's
-/// region-granular allocation.
-struct SpareSchemeParams {
-  std::uint64_t spare_lines{0};
-};
-
 std::unique_ptr<SpareScheme> make_no_spare(
     std::shared_ptr<const EnduranceMap> endurance);
 std::unique_ptr<SpareScheme> make_pcd(

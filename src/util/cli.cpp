@@ -47,8 +47,13 @@ bool CliParser::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
+      // No tool takes positional arguments, so a stray word is a typo or a
+      // value given to a switch ("--detect false"); dropping it would run
+      // a different experiment than the one asked for.
+      throw std::invalid_argument(
+          "unexpected argument '" + arg +
+          "' (flags are --name value or --name=value; switches take "
+          "--name=false)\n" + usage());
     }
     arg.erase(0, 2);
     std::string name = arg;

@@ -1,8 +1,9 @@
 // Minimal command-line flag parser for the bench/example binaries.
 //
 // Supports --name=value and --name value forms plus boolean switches.
-// Unknown flags are an error by default, so typos in experiment sweeps fail
-// loudly instead of silently running the default configuration.
+// Unknown flags and stray arguments are errors, so typos in experiment
+// sweeps fail loudly instead of silently running the default
+// configuration.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +24,8 @@ class CliParser {
   void add_switch(const std::string& name, const std::string& help);
 
   /// Parse argv. Returns false (after printing usage) when --help was given.
-  /// Throws std::invalid_argument on unknown or malformed flags.
+  /// Throws std::invalid_argument on unknown or malformed flags and on any
+  /// argument that is neither a flag nor a flag's value.
   bool parse(int argc, const char* const* argv);
 
   /// Numeric getters parse the whole value or fail: trailing garbage
@@ -37,11 +39,6 @@ class CliParser {
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
 
-  /// Positional arguments in order of appearance.
-  [[nodiscard]] const std::vector<std::string>& positional() const {
-    return positional_;
-  }
-
   [[nodiscard]] std::string usage() const;
 
  private:
@@ -53,7 +50,6 @@ class CliParser {
 
   std::string description_;
   std::map<std::string, Flag> flags_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace nvmsec

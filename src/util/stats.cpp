@@ -122,16 +122,21 @@ double max_value(std::span<const double> xs) {
 double gini(std::span<const double> xs) {
   if (xs.size() < 2) return 0.0;
   std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.front() < 0.0) {
+  return gini_in_place(sorted);
+}
+
+double gini_in_place(std::span<double> xs) {
+  if (xs.size() < 2) return 0.0;
+  std::sort(xs.begin(), xs.end());
+  if (xs.front() < 0.0) {
     throw std::invalid_argument("gini: inputs must be non-negative");
   }
-  const auto n = static_cast<double>(sorted.size());
+  const auto n = static_cast<double>(xs.size());
   double sum = 0.0;
   double weighted = 0.0;  // sum of rank_i * x_i with 1-based ranks
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    sum += sorted[i];
-    weighted += static_cast<double>(i + 1) * sorted[i];
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    sum += xs[i];
+    weighted += static_cast<double>(i + 1) * xs[i];
   }
   if (sum == 0.0) return 0.0;
   return 2.0 * weighted / (n * sum) - (n + 1.0) / n;

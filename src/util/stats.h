@@ -65,6 +65,10 @@ double max_value(std::span<const double> xs);
 /// and return 0. Throws std::invalid_argument on negative values.
 double gini(std::span<const double> xs);
 
+/// gini() over caller-owned storage: sorts `xs` in place instead of a copy,
+/// so it allocates nothing. Bit-identical to gini().
+double gini_in_place(std::span<double> xs);
+
 /// max(xs) / min(xs), the paper's wear-imbalance ratio. Returns 1 for
 /// empty, single-sample and all-zero inputs (no imbalance to speak of),
 /// +infinity when min is 0 but max is not. Throws std::invalid_argument on

@@ -1,6 +1,8 @@
 #include "util/table.h"
 
 #include <algorithm>
+#include <cmath>
+#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -96,5 +98,52 @@ std::string Table::csv() const {
 }
 
 void Table::print(std::ostream& os) const { os << ascii() << "\n"; }
+
+std::string format_number(double v, int digits) {
+  std::ostringstream os;
+  if (std::isinf(v)) return "inf";
+  if (v == std::floor(v) && std::abs(v) < 1e15) {
+    os << static_cast<std::int64_t>(v);
+  } else {
+    os.setf(std::ios::fixed);
+    os.precision(digits);
+    os << v;
+  }
+  return os.str();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void ReportRenderer::title(const std::string& t) {
+  if (md_) {
+    os_ << "# " << t << "\n\n";
+  } else {
+    os_ << t << "\n" << std::string(t.size(), '=') << "\n\n";
+  }
+}
+
+void ReportRenderer::heading(const std::string& h) {
+  if (md_) {
+    os_ << "## " << h << "\n\n";
+  } else {
+    os_ << "== " << h << " ==\n";
+  }
+}
+
+void ReportRenderer::text(const std::string& t) { os_ << t << "\n"; }
+
+void ReportRenderer::block(const std::string& body) {
+  if (md_) os_ << "```text\n";
+  os_ << body;
+  if (body.empty() || body.back() != '\n') os_ << "\n";
+  if (md_) os_ << "```\n";
+  os_ << "\n";
+}
 
 }  // namespace nvmsec

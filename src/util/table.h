@@ -1,8 +1,11 @@
 // ASCII / CSV table emitter used by the benchmark harness so every
 // figure/table reproduction prints the same rows the paper reports, in a
-// format that is both human-readable and machine-parsable.
+// format that is both human-readable and machine-parsable — plus the small
+// helpers the report tools (maxwe_report, fleet_report, maxwe_profile)
+// share for reading their inputs and rendering text or Markdown.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <variant>
@@ -45,6 +48,31 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<Cell>> rows_;
   int precision_{2};
+};
+
+/// A number as a report prints it: integral values without a decimal point,
+/// others with `digits` fixed digits, infinity as "inf".
+[[nodiscard]] std::string format_number(double v, int digits);
+
+/// The whole of the file at `path`; throws std::runtime_error naming the
+/// path when it cannot be opened.
+[[nodiscard]] std::string read_file(const std::string& path);
+
+/// Renders a report for a terminal or as Markdown: headings switch between
+/// "== x ==" and "## x", tables and blocks go into code fences.
+class ReportRenderer {
+ public:
+  ReportRenderer(std::ostream& os, bool md) : os_(os), md_(md) {}
+
+  void title(const std::string& t);
+  void heading(const std::string& h);
+  void text(const std::string& t);
+  void block(const std::string& body);
+  void table(const Table& t) { block(t.ascii()); }
+
+ private:
+  std::ostream& os_;
+  bool md_;
 };
 
 }  // namespace nvmsec

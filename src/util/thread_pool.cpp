@@ -9,7 +9,7 @@
 namespace nvmsec {
 
 void parallel_for(std::size_t threads, std::size_t n,
-                  const std::function<void(std::size_t)>& fn,
+                  const std::function<void(std::size_t, std::size_t)>& fn,
                   std::vector<WorkerUtilization>* utilization) {
   if (utilization != nullptr) utilization->clear();
   if (n == 0) return;
@@ -19,9 +19,9 @@ void parallel_for(std::size_t threads, std::size_t n,
   // One exception slot per index, written at most once, by its claimer.
   std::atomic<std::size_t> next{0};
   std::vector<std::exception_ptr> errors(n);
-  const auto drive = [&](std::size_t driver) {
+  const auto drive = [&](std::size_t thread) {
     WorkerUtilization* const slot =
-        utilization != nullptr ? &(*utilization)[driver] : nullptr;
+        utilization != nullptr ? &(*utilization)[thread] : nullptr;
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
@@ -29,7 +29,7 @@ void parallel_for(std::size_t threads, std::size_t n,
           slot != nullptr ? std::chrono::steady_clock::now()
                           : std::chrono::steady_clock::time_point{};
       try {
-        fn(i);
+        fn(i, thread);
       } catch (...) {
         errors[i] = std::current_exception();
       }
@@ -47,7 +47,7 @@ void parallel_for(std::size_t threads, std::size_t n,
     // jthreads join on destruction, including when a later spawn throws.
     std::vector<std::jthread> helpers;
     helpers.reserve(drivers - 1);
-    for (std::size_t d = 1; d < drivers; ++d) helpers.emplace_back(drive, d);
+    for (std::size_t t = 1; t < drivers; ++t) helpers.emplace_back(drive, t);
     drive(0);
   }
 

@@ -32,17 +32,20 @@ struct WorkerUtilization {
   std::uint64_t tasks{0};
 };
 
-/// Run fn(0), ..., fn(n-1) on the calling thread plus `threads - 1` helper
-/// threads (`threads` is capped at n; 0 counts as 1) and return once all
-/// have finished and the helpers are joined. Indices are claimed from one
+/// Run fn(i, thread) for i = 0, ..., n-1 on the calling thread plus
+/// `threads - 1` helper threads (`threads` is capped at n; 0 counts as 1)
+/// and return once all have finished and the helpers are joined. `thread`
+/// is the running thread's slot in [0, min(threads, n)), the caller's
+/// being 0, so per-thread state (a fleet worker's ExperimentWorkspace) can
+/// live in a plain array indexed by it. Indices are claimed from one
 /// atomic counter, so long and short items interleave without static
 /// partitioning skew. If any invocations throw, the exception from the
 /// smallest failing index is rethrown after every index has been
-/// attempted. When `utilization` is non-null it receives one slot per
-/// thread that ran (the caller's first), each written only by its own
-/// thread; the join publishes them.
+/// attempted. When `utilization` is non-null it receives one entry per
+/// thread slot, each written only by its own thread; the join publishes
+/// them.
 void parallel_for(std::size_t threads, std::size_t n,
-                  const std::function<void(std::size_t)>& fn,
+                  const std::function<void(std::size_t, std::size_t)>& fn,
                   std::vector<WorkerUtilization>* utilization = nullptr);
 
 /// max(1, std::thread::hardware_concurrency()) — what `jobs = 0` resolves

@@ -62,8 +62,7 @@ std::unique_ptr<WearLeveler> make_wear_leveler(const std::string& name,
   if (name == "bwl") {
     return std::make_unique<Bwl>(working_lines, endurance,
                                  resolve_group_lines(working_lines, params),
-                                 params.bwl_classes, params.swap_interval,
-                                 params.bwl_beta);
+                                 kBwlClasses, params.swap_interval, kBwlBeta);
   }
   if (name == "agebased") {
     // Bucket width sized so benign skew separates lines into a few buckets
@@ -83,7 +82,7 @@ std::unique_ptr<WearLeveler> make_wear_leveler(const std::string& name,
   if (name == "wawl") {
     return std::make_unique<Wawl>(working_lines, endurance,
                                   resolve_group_lines(working_lines, params),
-                                  params.swap_interval, params.wawl_alpha);
+                                  params.swap_interval, kWawlAlpha);
   }
   throw std::invalid_argument("make_wear_leveler: unknown scheme '" + name +
                               "'");

@@ -153,18 +153,6 @@ struct WearLevelerParams {
   /// User writes between remap steps (Start-Gap's psi; also the refresh /
   /// swap cadence of TLSR, PCM-S, BWL and the base interval of WAWL).
   std::uint64_t swap_interval{100};
-  /// Number of endurance classes BWL quantizes regions into.
-  std::uint32_t bwl_classes{4};
-  /// BWL: victim-class weight is (class mean endurance)^beta. Sub-linear by
-  /// default: per-line wear rate then grows like e^beta, which lifts weak
-  /// lines' lifetimes while keeping wear-outs endurance-ordered.
-  double bwl_beta{0.5};
-  /// WAWL: both the destination-choice weight and the dwell budget scale
-  /// with endurance^alpha, so the per-line wear rate grows like e^(2*alpha).
-  /// The default keeps the combined exponent at 0.7 — proportional enough
-  /// to clearly beat BWL, sub-linear enough that death order stays
-  /// endurance-ordered (see DESIGN.md §4).
-  double wawl_alpha{0.35};
   /// Group size (lines) used by the region-granular levelers (BWL, WAWL).
   /// 0 means "derive from working size": working_lines / 128, at least 1.
   std::uint64_t group_lines{0};
@@ -173,6 +161,19 @@ struct WearLevelerParams {
   /// configurations must shrink this together with the endurance scale.
   std::uint64_t tlsr_subregion_lines{256};
 };
+
+/// Number of endurance classes BWL quantizes regions into.
+inline constexpr std::uint32_t kBwlClasses = 4;
+/// BWL: victim-class weight is (class mean endurance)^beta. Sub-linear:
+/// per-line wear rate then grows like e^beta, which lifts weak lines'
+/// lifetimes while keeping wear-outs endurance-ordered.
+inline constexpr double kBwlBeta = 0.5;
+/// WAWL: both the destination-choice weight and the dwell budget scale with
+/// endurance^alpha, so the per-line wear rate grows like e^(2*alpha). This
+/// keeps the combined exponent at 0.7 — proportional enough to clearly
+/// beat BWL, sub-linear enough that death order stays endurance-ordered
+/// (see DESIGN.md §4).
+inline constexpr double kWawlAlpha = 0.35;
 
 /// Per-working-index endurance view handed to endurance-aware levelers
 /// (BWL, WAWL). Endurance-oblivious schemes ignore it.

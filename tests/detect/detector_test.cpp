@@ -107,7 +107,7 @@ TEST(AttackDetectorTest, EmptyWindowIsNormal) {
 }
 
 TEST(AttackDetectorTest, HysteresisRaisesAfterConsecutiveAnomalies) {
-  AttackDetector d(small_params(), kLines);  // raise_windows = 2
+  AttackDetector d(small_params(), kLines);  // kRaiseWindows = 2
   feed_sweep_window(d);
   d.close_window();
   EXPECT_EQ(d.level(), AlarmLevel::kSuspicious);
@@ -132,7 +132,7 @@ TEST(AttackDetectorTest, SingleNormalWindowKillsPendingRaise) {
 }
 
 TEST(AttackDetectorTest, AlarmClearsOnlyAfterClearWindows) {
-  AttackDetector d(small_params(), kLines);  // clear_windows = 4
+  AttackDetector d(small_params(), kLines);  // kClearWindows = 4
   Rng rng(13);
   feed_sweep_window(d);
   d.close_window();

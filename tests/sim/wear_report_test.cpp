@@ -7,28 +7,6 @@
 namespace nvmsec {
 namespace {
 
-TEST(GiniTest, EdgeCases) {
-  EXPECT_DOUBLE_EQ(gini_coefficient({}), 0.0);
-  EXPECT_DOUBLE_EQ(gini_coefficient({5.0}), 0.0);
-  EXPECT_DOUBLE_EQ(gini_coefficient({0.0, 0.0}), 0.0);
-  EXPECT_THROW(gini_coefficient({1.0, -1.0}), std::invalid_argument);
-}
-
-TEST(GiniTest, UniformIsZero) {
-  EXPECT_NEAR(gini_coefficient(std::vector<double>(100, 3.0)), 0.0, 1e-12);
-}
-
-TEST(GiniTest, ConcentrationApproachesOne) {
-  std::vector<double> values(100, 0.0);
-  values[0] = 1.0;
-  EXPECT_NEAR(gini_coefficient(values), 0.99, 0.001);
-}
-
-TEST(GiniTest, KnownTwoPointValue) {
-  // {1, 3}: Gini = (2*(1*1 + 2*3)/(2*4)) - 3/2 = 14/8 - 12/8 = 0.25.
-  EXPECT_NEAR(gini_coefficient({1.0, 3.0}), 0.25, 1e-12);
-}
-
 std::shared_ptr<const EnduranceMap> tiny_map() {
   return std::make_shared<EnduranceMap>(DeviceGeometry::scaled(16, 4),
                                         std::vector<Endurance>{10, 10, 10, 10});

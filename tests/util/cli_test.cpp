@@ -86,14 +86,28 @@ TEST(CliTest, DoubleParsing) {
   EXPECT_DOUBLE_EQ(cli.get_double("f"), 2.25);
 }
 
-TEST(CliTest, PositionalArgumentsCollected) {
-  CliParser cli("test");
-  cli.add_flag("a", "", "0");
-  auto args = argv_of({"first", "--a=1", "second"});
-  ASSERT_TRUE(cli.parse(static_cast<int>(args.size()), args.data()));
-  ASSERT_EQ(cli.positional().size(), 2u);
-  EXPECT_EQ(cli.positional()[0], "first");
-  EXPECT_EQ(cli.positional()[1], "second");
+TEST(CliTest, StrayArgumentRejectedByName) {
+  // A second value after a flag, or a value after a switch, is an error
+  // naming it, never dropped: "--seeds 3 4" must not run 3 seeds, nor
+  // "--detect false" the detector.
+  const auto expect_rejected = [](std::initializer_list<const char*> argv,
+                                  const std::string& stray) {
+    CliParser cli("test");
+    cli.add_flag("a", "", "0");
+    cli.add_switch("on", "");
+    auto args = argv_of(argv);
+    try {
+      (void)cli.parse(static_cast<int>(args.size()), args.data());
+      ADD_FAILURE() << "accepted '" << stray << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + stray + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected({"--a", "3", "4"}, "4");
+  expect_rejected({"--on", "false"}, "false");
+  expect_rejected({"first", "--a=1"}, "first");
 }
 
 TEST(CliTest, HelpReturnsFalse) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -173,6 +174,44 @@ TEST(GiniTest, ModerateInequalityBetweenExtremes) {
 
 TEST(GiniTest, NegativeValuesThrow) {
   EXPECT_THROW(gini(std::vector<double>{1.0, -1.0}), std::invalid_argument);
+}
+
+TEST(GiniTest, EdgeCases) {
+  // The in-place form shares gini()'s degenerate cases and its refusal.
+  std::vector<double> empty;
+  std::vector<double> single{5.0};
+  std::vector<double> zeros{0.0, 0.0};
+  std::vector<double> negative{1.0, -1.0};
+  EXPECT_DOUBLE_EQ(gini_in_place(empty), 0.0);
+  EXPECT_DOUBLE_EQ(gini_in_place(single), 0.0);
+  EXPECT_DOUBLE_EQ(gini_in_place(zeros), 0.0);
+  EXPECT_THROW(gini_in_place(negative), std::invalid_argument);
+}
+
+TEST(GiniTest, UniformIsZero) {
+  std::vector<double> values(100, 3.0);
+  EXPECT_NEAR(gini_in_place(values), 0.0, 1e-12);
+}
+
+TEST(GiniTest, ConcentrationApproachesOne) {
+  std::vector<double> values(100, 0.0);
+  values[0] = 1.0;
+  EXPECT_NEAR(gini(values), 0.99, 0.001);
+}
+
+TEST(GiniTest, KnownTwoPointValue) {
+  // {1, 3}: Gini = (2*(1*1 + 2*3)/(2*4)) - 3/2 = 14/8 - 12/8 = 0.25.
+  EXPECT_NEAR(gini(std::vector<double>{1.0, 3.0}), 0.25, 1e-12);
+}
+
+TEST(GiniTest, InPlaceMatchesCopyBitForBitAndSorts) {
+  std::vector<double> values;
+  for (int i = 0; i < 1000; ++i) {
+    values.push_back(std::fmod(static_cast<double>(i) * 0.7548776662, 1.0));
+  }
+  const double copied = gini(values);
+  EXPECT_EQ(gini_in_place(values), copied);
+  EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
 }
 
 TEST(MaxMinRatioTest, DegenerateInputsAreBalanced) {

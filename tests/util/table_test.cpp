@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 namespace nvmsec {
 namespace {
@@ -80,6 +82,44 @@ TEST(TableTest, PrintWritesToStream) {
   std::ostringstream out;
   t.print(out);
   EXPECT_NE(out.str().find("7"), std::string::npos);
+}
+
+TEST(ReportHelpersTest, FormatNumberDropsZeroFractionsOnly) {
+  EXPECT_EQ(format_number(42.0, 2), "42");
+  EXPECT_EQ(format_number(-3.0, 4), "-3");
+  EXPECT_EQ(format_number(0.123456, 2), "0.12");
+  EXPECT_EQ(format_number(0.123456, 4), "0.1235");
+  EXPECT_EQ(format_number(std::numeric_limits<double>::infinity(), 2), "inf");
+}
+
+TEST(ReportHelpersTest, RendererSwitchesBetweenTextAndMarkdown) {
+  Table t({"h"});
+  t.add_row({Cell{std::int64_t{7}}});
+  std::ostringstream text_out;
+  ReportRenderer text(text_out, /*md=*/false);
+  text.title("T");
+  text.heading("H");
+  text.table(t);
+  EXPECT_EQ(text_out.str().rfind("T\n=\n\n== H ==\n", 0), 0u);
+  EXPECT_EQ(text_out.str().find("```"), std::string::npos);
+
+  std::ostringstream md_out;
+  ReportRenderer md(md_out, /*md=*/true);
+  md.title("T");
+  md.heading("H");
+  md.table(t);
+  EXPECT_EQ(md_out.str().rfind("# T\n\n## H\n\n```text\n", 0), 0u);
+  EXPECT_EQ(md_out.str().substr(md_out.str().size() - 5), "```\n\n");
+}
+
+TEST(ReportHelpersTest, ReadFileNamesAMissingPath) {
+  try {
+    (void)read_file("/nonexistent/report-input.json");
+    ADD_FAILURE() << "read a missing file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/nonexistent/report-input.json"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ TEST(ThreadPoolTest, HardwareWorkersIsPositive) {
 TEST(ThreadPoolTest, ParallelForEachVisitsEveryIndexExactlyOnce) {
   constexpr std::size_t kN = 1000;
   std::vector<std::atomic<int>> visits(kN);
-  parallel_for(4, kN, [&visits](std::size_t i) { ++visits[i]; });
+  parallel_for(4, kN, [&visits](std::size_t i, std::size_t) { ++visits[i]; });
   for (std::size_t i = 0; i < kN; ++i) {
     EXPECT_EQ(visits[i].load(), 1) << "index " << i;
   }
@@ -32,7 +32,7 @@ TEST(ThreadPoolTest, ParallelForEachResultsIndependentOfScheduling) {
   // interleaved — the determinism contract the experiment runner builds on.
   constexpr std::size_t kN = 257;
   std::vector<std::uint64_t> out(kN, 0);
-  parallel_for(4, kN, [&out](std::size_t i) {
+  parallel_for(4, kN, [&out](std::size_t i, std::size_t) {
     // Uneven per-index work so dynamic claiming actually interleaves.
     std::uint64_t acc = i;
     for (std::size_t k = 0; k < (i % 7) * 1000; ++k) acc = acc * 6364136223846793005ULL + 1;
@@ -49,9 +49,9 @@ TEST(ThreadPoolTest, ParallelForEachResultsIndependentOfScheduling) {
 
 TEST(ThreadPoolTest, ParallelForEachHandlesZeroAndFewerItemsThanWorkers) {
   std::atomic<int> counter{0};
-  parallel_for(8, 0, [&counter](std::size_t) { ++counter; });
+  parallel_for(8, 0, [&counter](std::size_t, std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 0);
-  parallel_for(8, 3, [&counter](std::size_t) { ++counter; });
+  parallel_for(8, 3, [&counter](std::size_t, std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 3);
 }
 
@@ -59,7 +59,7 @@ TEST(ThreadPoolTest, ParallelForEachRethrowsSmallestFailingIndex) {
   for (std::size_t threads : {1u, 4u}) {
     std::atomic<int> attempted{0};
     try {
-      parallel_for(threads, 100, [&attempted](std::size_t i) {
+      parallel_for(threads, 100, [&attempted](std::size_t i, std::size_t) {
         ++attempted;
         if (i == 17 || i == 63) {
           throw std::runtime_error("failed at " + std::to_string(i));
@@ -82,8 +82,9 @@ TEST(ThreadPoolTest, OneThreadRunsAscendingOnTheCaller) {
   std::vector<WorkerUtilization> utilization;
   parallel_for(
       1, 5,
-      [&](std::size_t i) {
+      [&](std::size_t i, std::size_t thread) {
         order.push_back(i);
+        all_on_caller = all_on_caller && thread == 0;
         all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
       },
       &utilization);
@@ -98,7 +99,7 @@ TEST(ThreadPoolTest, UtilizationHasOneSlotPerThreadThatRan) {
        std::vector<std::pair<std::size_t, std::size_t>>{
            {1, 10}, {3, 10}, {4, 2}, {8, 8}}) {
     std::vector<WorkerUtilization> utilization(99);  // stale contents go
-    parallel_for(threads, n, [](std::size_t) {}, &utilization);
+    parallel_for(threads, n, [](std::size_t, std::size_t) {}, &utilization);
     EXPECT_EQ(utilization.size(), std::min(threads, n))
         << threads << " threads, " << n << " indices";
     std::uint64_t tasks = 0;
@@ -107,11 +108,40 @@ TEST(ThreadPoolTest, UtilizationHasOneSlotPerThreadThatRan) {
   }
 }
 
+TEST(ThreadPoolTest, ThreadSlotsIdentifyOneThreadEach) {
+  // Every call gets its thread's slot: in range, the caller's is 0, and one
+  // slot never names two threads — so per-slot state needs no lock.
+  for (const auto& [threads, n] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {1, 10}, {3, 200}, {4, 2}, {8, 8}}) {
+    const std::size_t slots = std::min(threads, n);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> owner(slots);
+    std::vector<std::atomic<int>> in_use(slots);
+    std::atomic<bool> ok{true};
+    parallel_for(threads, n, [&](std::size_t, std::size_t thread) {
+      if (thread >= slots || in_use[thread]++ != 0) {
+        ok = false;
+        return;
+      }
+      if (owner[thread] == std::thread::id{}) {
+        owner[thread] = std::this_thread::get_id();
+      }
+      if (owner[thread] != std::this_thread::get_id() ||
+          (thread == 0) != (std::this_thread::get_id() == caller)) {
+        ok = false;
+      }
+      --in_use[thread];
+    });
+    EXPECT_TRUE(ok.load()) << threads << " threads, " << n << " indices";
+  }
+}
+
 TEST(ThreadPoolTest, TasksActuallyRunConcurrentlyWhenWorkersAllow) {
   // Two indices that each wait for the other can only finish if two
   // threads run them simultaneously.
   std::atomic<int> arrived{0};
-  const auto rendezvous = [&arrived](std::size_t) {
+  const auto rendezvous = [&arrived](std::size_t, std::size_t) {
     ++arrived;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);

@@ -9,7 +9,6 @@
 //   fleet_report --fleet fleet_maxwe.json
 //   fleet_report --fleet fleet_maxwe.json --compare fleet_freep.json,fleet_none.json
 //   fleet_report --fleet fleet.json --md fleet.md
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -26,17 +25,11 @@
 namespace {
 
 using nvmsec::Cell;
+using nvmsec::read_file;
+using nvmsec::ReportRenderer;
 using nvmsec::Table;
 using nvmsec::minijson::JsonValue;
 using nvmsec::minijson::parse_json;
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 struct SummaryStats {
   double count{0}, mean{0}, stddev{0}, min{0}, max{0};
@@ -201,53 +194,10 @@ FleetDoc load_fleet(const std::string& path) {
 }
 
 std::string fmt(double v, int digits = 4) {
-  std::ostringstream os;
-  if (std::isinf(v)) return "inf";
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    os << static_cast<std::int64_t>(v);
-  } else {
-    os.setf(std::ios::fixed);
-    os.precision(digits);
-    os << v;
-  }
-  return os.str();
+  return nvmsec::format_number(v, digits);
 }
 
 std::string pct(double v) { return fmt(100.0 * v, 2) + "%"; }
-
-/// Terminal/Markdown dual renderer (same shape as maxwe_report's).
-class Renderer {
- public:
-  Renderer(std::ostream& os, bool md) : os_(os), md_(md) {}
-
-  void title(const std::string& t) {
-    if (md_) {
-      os_ << "# " << t << "\n\n";
-    } else {
-      os_ << t << "\n" << std::string(t.size(), '=') << "\n\n";
-    }
-  }
-  void heading(const std::string& h) {
-    if (md_) {
-      os_ << "## " << h << "\n\n";
-    } else {
-      os_ << "== " << h << " ==\n";
-    }
-  }
-  void text(const std::string& t) { os_ << t << "\n"; }
-  void block(const std::string& body) {
-    if (md_) os_ << "```text\n";
-    os_ << body;
-    if (body.empty() || body.back() != '\n') os_ << "\n";
-    if (md_) os_ << "```\n";
-    os_ << "\n";
-  }
-  void table(const Table& t) { block(t.ascii()); }
-
- private:
-  std::ostream& os_;
-  bool md_;
-};
 
 void add_summary_rows(Table& t, const std::string& name,
                       const SummaryStats& s, bool as_pct) {
@@ -261,7 +211,7 @@ void add_summary_rows(Table& t, const std::string& name,
   t.add_row({name + " max", v(s.max)});
 }
 
-void render_fleet(Renderer& out, const FleetDoc& f) {
+void render_fleet(ReportRenderer& out, const FleetDoc& f) {
   Table spec({"field", "value"});
   spec.add_row({std::string("devices"), fmt(f.devices)});
   spec.add_row({std::string("scheme"), f.spare});
@@ -388,7 +338,7 @@ void render_fleet(Renderer& out, const FleetDoc& f) {
   }
 }
 
-void render_compare(Renderer& out, const std::vector<FleetDoc>& fleets) {
+void render_compare(ReportRenderer& out, const std::vector<FleetDoc>& fleets) {
   out.heading("Scheme comparison");
   std::vector<std::string> header{"metric"};
   for (const FleetDoc& f : fleets) header.push_back(f.spare);
@@ -448,7 +398,7 @@ void render_compare(Renderer& out, const std::vector<FleetDoc>& fleets) {
   }
 }
 
-void render_profile_section(Renderer& out, const std::string& path) {
+void render_profile_section(ReportRenderer& out, const std::string& path) {
   const nvmsec::ProfileDoc doc = nvmsec::parse_profile(read_file(path));
   out.heading("Campaign self-profile (" + path + ")");
   std::ostringstream body;
@@ -456,7 +406,7 @@ void render_profile_section(Renderer& out, const std::string& path) {
   out.block(body.str());
 }
 
-void render_all(Renderer& out, const std::vector<FleetDoc>& fleets,
+void render_all(ReportRenderer& out, const std::vector<FleetDoc>& fleets,
                 const std::string& profile_path) {
   out.title("Fleet post-mortem: " + fleets.front().path);
   for (std::size_t i = 0; i < fleets.size(); ++i) {
@@ -507,7 +457,7 @@ int main(int argc, char** argv) {
     }
 
     const std::string profile_path = cli.get_string("profile");
-    Renderer terminal(std::cout, /*md=*/false);
+    ReportRenderer terminal(std::cout, /*md=*/false);
     render_all(terminal, fleets, profile_path);
 
     if (const std::string md_path = cli.get_string("md"); !md_path.empty()) {
@@ -516,7 +466,7 @@ int main(int argc, char** argv) {
         std::cerr << "error: cannot write " << md_path << "\n";
         return 1;
       }
-      Renderer md(md_out, /*md=*/true);
+      ReportRenderer md(md_out, /*md=*/true);
       render_all(md, fleets, profile_path);
       std::cout << "markdown report: " << md_path << "\n";
     }

@@ -9,25 +9,12 @@
 //
 //   maxwe_profile --profile run.profile.json
 //   maxwe_profile --profile run.profile.json --compare baseline.json
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "obs/profile_report.h"
 #include "util/cli.h"
-
-namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-}  // namespace
+#include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace nvmsec;

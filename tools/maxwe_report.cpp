@@ -31,19 +31,13 @@
 namespace {
 
 using nvmsec::Cell;
+using nvmsec::read_file;
+using nvmsec::ReportRenderer;
 using nvmsec::Histogram;
 using nvmsec::Table;
 using nvmsec::minijson::JsonValue;
 using nvmsec::minijson::parse_json;
 using nvmsec::minijson::parse_jsonl;
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 /// One spare-line rescue: a dynamic replacement decision recorded by the
 /// scheme (Max-WE rmt_redirect / asr_alloc, FreeP spare_alloc).
@@ -254,16 +248,7 @@ std::vector<RunReport> build_reports(const std::vector<JsonValue>& events) {
 }
 
 std::string fmt(double v, int digits = 2) {
-  std::ostringstream os;
-  if (std::isinf(v)) return "inf";
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    os << static_cast<std::int64_t>(v);
-  } else {
-    os.setf(std::ios::fixed);
-    os.precision(digits);
-    os << v;
-  }
-  return os.str();
+  return nvmsec::format_number(v, digits);
 }
 
 /// One phase of the attack_phases ground-truth schedule.
@@ -335,42 +320,7 @@ bool window_is_attack(const RunReport& r,
   return !benign_phase(phase_at(phases, w.t - w.writes / 2));
 }
 
-/// Renders both the terminal and the Markdown flavour: headings switch
-/// between "== x ==" and "## x", tables and charts go into code fences.
-class Renderer {
- public:
-  Renderer(std::ostream& os, bool md) : os_(os), md_(md) {}
-
-  void title(const std::string& t) {
-    if (md_) {
-      os_ << "# " << t << "\n\n";
-    } else {
-      os_ << t << "\n" << std::string(t.size(), '=') << "\n\n";
-    }
-  }
-  void heading(const std::string& h) {
-    if (md_) {
-      os_ << "## " << h << "\n\n";
-    } else {
-      os_ << "== " << h << " ==\n";
-    }
-  }
-  void text(const std::string& t) { os_ << t << "\n"; }
-  void block(const std::string& body) {
-    if (md_) os_ << "```text\n";
-    os_ << body;
-    if (body.empty() || body.back() != '\n') os_ << "\n";
-    if (md_) os_ << "```\n";
-    os_ << "\n";
-  }
-  void table(const Table& t) { block(t.ascii()); }
-
- private:
-  std::ostream& os_;
-  bool md_;
-};
-
-void render_run(Renderer& out, const RunReport& r, std::size_t top_n) {
+void render_run(ReportRenderer& out, const RunReport& r, std::size_t top_n) {
   Table summary({"field", "value"});
   summary.add_row({std::string("scheme"), r.spare});
   summary.add_row({std::string("mode"), r.mode});
@@ -511,7 +461,7 @@ void render_run(Renderer& out, const RunReport& r, std::size_t top_n) {
 /// false alarms against the attack_phases ground truth, an ROC sweep that
 /// re-thresholds the raw per-window signals, and the adaptive cadence
 /// trail.
-void render_detector(Renderer& out, const RunReport& r) {
+void render_detector(ReportRenderer& out, const RunReport& r) {
   out.heading("Attack detector");
   if (r.windows.empty()) {
     out.text("no detect_window events (run without --detect, or the log "
@@ -663,7 +613,8 @@ void render_detector(Renderer& out, const RunReport& r) {
   }
 }
 
-void render_compare(Renderer& out, const RunReport& a, const RunReport& b) {
+void render_compare(ReportRenderer& out, const RunReport& a,
+                    const RunReport& b) {
   out.heading("Side-by-side comparison");
   Table cmp({"metric", a.spare + " (A)", b.spare + " (B)"});
   const auto row = [&cmp](const std::string& name, const std::string& va,
@@ -705,7 +656,7 @@ void render_compare(Renderer& out, const RunReport& a, const RunReport& b) {
   }
 }
 
-void render_metrics(Renderer& out, const std::string& path) {
+void render_metrics(ReportRenderer& out, const std::string& path) {
   const JsonValue doc = parse_json(read_file(path));
   out.heading("Run metrics (" + path + ")");
   Table t({"kind", "name", "value"});
@@ -721,7 +672,7 @@ void render_metrics(Renderer& out, const std::string& path) {
   out.table(t);
 }
 
-void render_snapshots(Renderer& out, const std::string& path) {
+void render_snapshots(ReportRenderer& out, const std::string& path) {
   const std::vector<JsonValue> snaps = parse_jsonl(read_file(path));
   if (snaps.empty()) return;
   out.heading("Final wear snapshot (" + path + ")");
@@ -761,7 +712,7 @@ void render_snapshots(Renderer& out, const std::string& path) {
   out.table(t);
 }
 
-void render_profile_section(Renderer& out, const std::string& path) {
+void render_profile_section(ReportRenderer& out, const std::string& path) {
   const nvmsec::ProfileDoc doc = nvmsec::parse_profile(read_file(path));
   out.heading("Self-profile (" + path + ")");
   std::ostringstream body;
@@ -777,7 +728,7 @@ std::vector<RunReport> load_reports(const std::string& path) {
   return runs;
 }
 
-void render_all(Renderer& out, const std::string& events_path,
+void render_all(ReportRenderer& out, const std::string& events_path,
                 const std::vector<RunReport>& runs,
                 const std::vector<RunReport>* other, std::size_t top_n,
                 const std::string& metrics_path,
@@ -854,7 +805,7 @@ int main(int argc, char** argv) {
 
     const bool force_detector = cli.get_bool("detector");
 
-    Renderer terminal(std::cout, /*md=*/false);
+    ReportRenderer terminal(std::cout, /*md=*/false);
     render_all(terminal, events_path, runs, other_ptr, top_n, metrics_path,
                snapshots_path, profile_path, force_detector);
 
@@ -864,7 +815,7 @@ int main(int argc, char** argv) {
         std::cerr << "error: cannot write " << md_path << "\n";
         return 1;
       }
-      Renderer md(md_out, /*md=*/true);
+      ReportRenderer md(md_out, /*md=*/true);
       render_all(md, events_path, runs, other_ptr, top_n, metrics_path,
                  snapshots_path, profile_path, force_detector);
       std::cout << "markdown report: " << md_path << "\n";
