@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot paths a memory controller
 // would execute per access: Max-WE's read-path translation (§4.2's
 // LMT -> RMT -> raw cascade), wear-leveler translation, and a full
-// simulated write through the engine pipeline.
+// simulated write through the engine pipeline; plus the per-device cost
+// of a fleet's event runs and the end-of-run wear Gini.
 
 #include <benchmark/benchmark.h>
 
@@ -15,8 +16,10 @@
 #include "nvm/device.h"
 #include "reduction/codec.h"
 #include "sim/engine.h"
+#include "sim/experiment.h"
 #include "util/alias_table.h"
 #include "util/multinomial.h"
+#include "util/stats.h"
 #include "wearlevel/wear_leveler.h"
 
 namespace {
@@ -219,6 +222,64 @@ void BM_EngineBatchedWrite(benchmark::State& state) {
 BENCHMARK(BM_EngineBatchedWrite)
     ->ArgsProduct({{0, 1}, {0, 1, 2}})
     ->Unit(benchmark::kMillisecond);
+
+void BM_EventRunFleetDevice(benchmark::State& state) {
+  // One fleet-sized device per iteration (256 lines, 16 regions, endurance
+  // 200, Max-WE, event engine) through one warm workspace, the way
+  // run_fleet drives its devices: map rebuild, Max-WE rebind, the event
+  // run and its wear Gini. Seeds cycle so each iteration is a new map.
+  // Arg: 0 = uaa, 1 = zipf, 2 = hotspot. Items = devices.
+  static const char* kAttacks[] = {"uaa", "zipf", "hotspot"};
+  ExperimentConfig config;
+  config.geometry = DeviceGeometry::scaled(256, 16);
+  config.endurance.endurance_at_mean = 200;
+  config.spare_scheme = "maxwe";
+  config.mode = SimulationMode::kUniformEvent;
+  config.attack = kAttacks[state.range(0)];
+  ExperimentWorkspace workspace;
+  std::uint64_t device = 0;
+  for (auto _ : state) {
+    config.seed = 1 + device++ % 4096;
+    benchmark::DoNotOptimize(run_experiment(config, nullptr, &workspace));
+  }
+  state.SetLabel(config.attack);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventRunFleetDevice)->DenseRange(0, 2);
+
+void BM_GiniInPlace(benchmark::State& state) {
+  // gini_in_place over one fleet device's worth of utilizations (256),
+  // copied in before every call (the copy is timed too) from one of 64
+  // seeded samples in turn, so the branch predictor cannot learn a single
+  // input. Arg: 0 = all distinct, 1 = 16 runs of 16 equal values, 2 =
+  // mostly zeros (every 16th value nonzero).
+  static const char* kShapes[] = {"distinct", "16 runs", "mostly zero"};
+  constexpr std::size_t kValues = 256;
+  constexpr std::size_t kSamples = 64;
+  Rng rng(8);
+  std::vector<double> samples(kSamples * kValues, 0.0);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (state.range(0) == 0) {
+      samples[i] = rng.uniform_double();
+    } else if (state.range(0) == 1) {
+      samples[i] = i % 16 == 0 ? rng.uniform_double() : samples[i - 1];
+    } else if (i % 16 == 0) {
+      samples[i] = rng.uniform_double();
+    }
+  }
+  std::vector<double> xs(kValues);
+  std::size_t sample = 0;
+  for (auto _ : state) {
+    const auto first = samples.begin() +
+                       static_cast<std::ptrdiff_t>(sample++ % kSamples *
+                                                   kValues);
+    std::copy(first, first + kValues, xs.begin());
+    benchmark::DoNotOptimize(gini_in_place(xs));
+  }
+  state.SetLabel(kShapes[state.range(0)]);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_GiniInPlace)->DenseRange(0, 2);
 
 void BM_RngUniform(benchmark::State& state) {
   Rng rng(1);

@@ -165,9 +165,23 @@ void RegionMappingTable::reset_tags() {
   tags_set_ = 0;
 }
 
+void RegionMappingTable::clear() {
+  index_.assign(num_regions_, -1);
+  entries_.clear();
+  pairs_.clear();
+  sra_used_.assign(num_regions_, false);
+  tags_set_ = 0;
+}
+
 LineMappingTable::LineMappingTable(std::uint64_t capacity,
                                    std::uint64_t num_lines)
     : capacity_(capacity), num_lines_(num_lines) {
+  map_.reserve(capacity);
+}
+
+void LineMappingTable::reset(std::uint64_t capacity) {
+  map_.clear();
+  capacity_ = capacity;
   map_.reserve(capacity);
 }
 

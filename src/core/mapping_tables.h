@@ -69,6 +69,10 @@ class RegionMappingTable {
 
   void reset_tags();
 
+  /// Remove every pair, keeping the table's storage: the same table a fresh
+  /// RegionMappingTable(num_regions, lines_per_region) would be.
+  void clear();
+
   // --- Integrity ---------------------------------------------------------
 
   /// Region ids (pra) whose entry fails its integrity check: the sra CRC
@@ -135,6 +139,11 @@ class LineMappingTable {
   [[nodiscard]] std::uint64_t storage_bits() const;
 
   void clear() { map_.clear(); }
+
+  /// Empty the table and re-provision it for `capacity` entries, keeping
+  /// its storage: the same table a fresh LineMappingTable(capacity,
+  /// num_lines) would be.
+  void reset(std::uint64_t capacity);
 
   /// All mapped pla keys, ascending — a deterministic iteration order for
   /// fault injection and serialization (the hash map's own order is not).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "nvm/device.h"
@@ -129,12 +130,24 @@ void MaxWe::build_allocation() {
           geom.line_at(r, LineInRegion{k}).value()));
     }
   }
-  lmt_ = LineMappingTable(asr_pool_.size(), geom.num_lines());
+  lmt_.reset(asr_pool_.size());
   next_asr_ = 0;
 
   backing_.resize(user_lines_);
-  for (std::uint64_t i = 0; i < user_lines_; ++i) {
-    backing_[i] = static_cast<std::uint32_t>(working_line(i).value());
+  reset_backing();
+}
+
+void MaxWe::reset_backing() {
+  // Working index i is line i % lpr of user region i / lpr (working_line),
+  // and a region's lines are consecutive addresses.
+  const DeviceGeometry& geom = endurance_->geometry();
+  const auto lpr = static_cast<std::ptrdiff_t>(geom.lines_per_region());
+  auto out = backing_.begin();
+  for (const RegionId r : user_regions_) {
+    std::iota(out, out + lpr,
+              static_cast<std::uint32_t>(
+                  geom.line_at(r, LineInRegion{0}).value()));
+    out += lpr;
   }
 }
 
@@ -479,10 +492,9 @@ bool MaxWe::rebind(const std::shared_ptr<const EnduranceMap>& endurance,
   }
   endurance_ = endurance;
   // Fresh boot state, exactly as the constructor would leave it: empty
-  // tables (the RMT pairing is re-derived inside build_allocation), zero
-  // stats, detached observer.
-  rmt_ = RegionMappingTable(new_geom.num_regions(),
-                            new_geom.lines_per_region());
+  // tables, cleared in place (build_allocation re-derives the RMT pairing
+  // and re-provisions the LMT), zero stats, detached observer.
+  rmt_.clear();
   stats_ = {};
   obs_ = Observer{};
   rmt_redirects_ = nullptr;
@@ -498,9 +510,7 @@ void MaxWe::reset() {
   rmt_.reset_tags();
   lmt_.clear();
   next_asr_ = 0;
-  for (std::uint64_t i = 0; i < user_lines_; ++i) {
-    backing_[i] = static_cast<std::uint32_t>(working_line(i).value());
-  }
+  reset_backing();
 }
 
 void MaxWe::set_observer(const Observer& obs) {

@@ -151,6 +151,9 @@ class MaxWe final : public SpareScheme {
 
  private:
   void build_allocation();
+  /// backing_[i] = working_line(i) for every working index, region by
+  /// region.
+  void reset_backing();
   [[nodiscard]] bool allocate_from_asr(std::uint64_t idx, PhysLineAddr pla);
 
   std::shared_ptr<const EnduranceMap> endurance_;

@@ -1,7 +1,6 @@
 #include "nvm/device.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -14,13 +13,14 @@ Device::Device(std::shared_ptr<const EnduranceMap> endurance)
   if (!endurance_) {
     throw std::invalid_argument("Device: endurance map is null");
   }
-  const std::uint64_t n = endurance_->geometry().num_lines();
-  budget_.resize(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const double e = endurance_->line_endurance(PhysLineAddr{i});
-    budget_[i] = static_cast<WriteCount>(std::llround(std::max(1.0, e)));
-    total_budget_ += static_cast<double>(budget_[i]);
-  }
+  load_budgets();
+}
+
+void Device::load_budgets() {
+  budget_.resize(endurance_->geometry().num_lines());
+  endurance_->fill_write_budgets<WriteCount>(budget_);
+  total_budget_ = 0;
+  for (const WriteCount b : budget_) total_budget_ += static_cast<double>(b);
   remaining_ = budget_;
 }
 
@@ -95,15 +95,7 @@ void Device::rebind(std::shared_ptr<const EnduranceMap> endurance) {
     throw std::invalid_argument("Device::rebind: endurance map is null");
   }
   endurance_ = std::move(endurance);
-  const std::uint64_t n = endurance_->geometry().num_lines();
-  budget_.resize(n);
-  total_budget_ = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const double e = endurance_->line_endurance(PhysLineAddr{i});
-    budget_[i] = static_cast<WriteCount>(std::llround(std::max(1.0, e)));
-    total_budget_ += static_cast<double>(budget_[i]);
-  }
-  remaining_ = budget_;
+  load_budgets();
   total_writes_ = 0;
   worn_out_count_ = 0;
   // Fresh-construction equivalence: a new Device has no observer attached.

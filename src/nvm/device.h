@@ -74,7 +74,7 @@ class Device {
     return {absorbed, wore_out};
   }
 
-  /// Integer write budget of `line` (endurance rounded, at least 1).
+  /// Integer write budget of `line` (write_budget() of its endurance).
   [[nodiscard]] WriteCount write_budget(PhysLineAddr line) const;
 
   /// Writes `line` can still absorb.
@@ -126,6 +126,9 @@ class Device {
   /// Cold path of write_many: bump the worn-out counters and emit the
   /// trace instant.
   void note_wear_out(PhysLineAddr line);
+  /// Budgets from the endurance map (write_budget() per line), their total,
+  /// and a factory-fresh remaining_.
+  void load_budgets();
 
   Observer obs_{};
   Counter* wear_outs_{nullptr};

@@ -152,13 +152,14 @@ Endurance EnduranceMap::max_line_endurance() const {
 std::vector<RegionId> EnduranceMap::regions_weakest_first() const {
   std::vector<RegionId> order(geometry_.num_regions());
   for (std::uint64_t i = 0; i < order.size(); ++i) order[i] = RegionId{i};
-  std::stable_sort(order.begin(), order.end(),
-                   [&](RegionId a, RegionId b) {
-                     const Endurance ea = region_endurance_[a.value()];
-                     const Endurance eb = region_endurance_[b.value()];
-                     if (ea != eb) return ea < eb;
-                     return a.value() < b.value();
-                   });
+  // Ties are broken by id, so the order is total and std::sort needs no
+  // stable merge buffer to be deterministic.
+  std::sort(order.begin(), order.end(), [&](RegionId a, RegionId b) {
+    const Endurance ea = region_endurance_[a.value()];
+    const Endurance eb = region_endurance_[b.value()];
+    if (ea != eb) return ea < eb;
+    return a.value() < b.value();
+  });
   return order;
 }
 

@@ -8,8 +8,12 @@
 // default to match the paper's model.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "nvm/endurance_model.h"
@@ -18,6 +22,13 @@
 #include "util/types.h"
 
 namespace nvmsec {
+
+/// Integer write budget of a line of endurance `e`: rounded to the nearest
+/// write, and at least one. Device and the event engine both round here, so
+/// their budgets agree bit for bit.
+[[nodiscard]] inline WriteCount write_budget(Endurance e) {
+  return static_cast<WriteCount>(std::llround(std::max(1.0, e)));
+}
 
 class EnduranceMap {
  public:
@@ -69,6 +80,29 @@ class EnduranceMap {
 
   /// Sum of all line endurances = the ideal lifetime in writes (§3.1).
   [[nodiscard]] double ideal_lifetime() const { return ideal_lifetime_; }
+
+  /// write_budget() of every line, converted to T, into `out` (one entry
+  /// per line; throws std::invalid_argument on a size mismatch). A
+  /// region-constant map rounds and converts once per region; per-line
+  /// values (jitter, set_line_endurance) are rounded line by line.
+  template <typename T>
+  void fill_write_budgets(std::span<T> out) const {
+    if (out.size() != geometry_.num_lines()) {
+      throw std::invalid_argument(
+          "EnduranceMap::fill_write_budgets: output size != num_lines");
+    }
+    if (!line_endurance_.empty()) {
+      for (std::size_t l = 0; l < out.size(); ++l) {
+        out[l] = static_cast<T>(write_budget(line_endurance_[l]));
+      }
+      return;
+    }
+    const std::uint64_t lpr = geometry_.lines_per_region();
+    for (std::uint64_t r = 0; r < region_endurance_.size(); ++r) {
+      std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(r * lpr), lpr,
+                  static_cast<T>(write_budget(region_endurance_[r])));
+    }
+  }
 
   [[nodiscard]] Endurance min_line_endurance() const;
   [[nodiscard]] Endurance max_line_endurance() const;

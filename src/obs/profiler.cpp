@@ -27,6 +27,8 @@ constexpr ProfPhaseInfo kProfPhaseInfo[] = {
     {"engine.snapshot", ProfPhase::kEngineRun},
     {"event.run", ProfPhase::kFleetDevice},
     {"event.rescue", ProfPhase::kEventRun},
+    {"event.schedule", ProfPhase::kEventRun},
+    {"event.wear_gini", ProfPhase::kEventRun},
     {"bit.run", ProfPhase::kFleetDevice},
     {"fleet.shard", ProfPhase::kCount},
     {"fleet.device", ProfPhase::kFleetShard},

@@ -52,6 +52,8 @@ enum class ProfPhase : std::uint8_t {
   kEngineSnapshot,       // wear-snapshot emission
   kEventRun,             // UniformEventSimulator::run end to end
   kEventRescue,          // event-sim re-home loop per line death
+  kEventSchedule,        // event-sim budgets, reverse map and queue build
+  kEventWearGini,        // event-sim final wear settle and utilization Gini
   kBitRun,               // BitEngine::run end to end
   kFleetShard,           // one shard: device loop + fold + compress
   kFleetDevice,          // one device's run_experiment inside a shard

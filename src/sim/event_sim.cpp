@@ -1,10 +1,11 @@
 #include "sim/event_sim.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -20,6 +21,17 @@ namespace nvmsec {
 
 namespace {
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+
+/// Heap order for the death queue: true when `a` dies after `b` (so the
+/// std heap algorithms keep the earliest death at the front). Bitwise &
+/// and | keep the two-word compare free of branches; a lambda rather than
+/// a function, so the heap algorithms inline it instead of calling through
+/// a pointer.
+constexpr auto later = [](const EventScratch::DeathKey& a,
+                          const EventScratch::DeathKey& b) {
+  return (a.time_bits > b.time_bits) |
+         ((a.time_bits == b.time_bits) & (a.line_version > b.line_version));
+};
 }  // namespace
 
 UniformEventSimulator::UniformEventSimulator(
@@ -81,20 +93,18 @@ LifetimeResult UniformEventSimulator::run() {
   // Working state: the caller's scratch via set_scratch() when many
   // devices run back to back, the simulator's own otherwise.
   EventScratch& scratch = scratch_ != nullptr ? *scratch_ : own_scratch_;
+  std::optional<ScopedProfPhase> schedule_span;
+  schedule_span.emplace(obs_.profiler, ProfPhase::kEventSchedule);
 
   // Integer budgets identical to Device's rounding, kept as doubles for the
-  // continuous-time arithmetic.
-  scratch.remaining.resize(n);
-  const std::span<double> remaining(scratch.remaining);
-  for (std::uint64_t l = 0; l < n; ++l) {
-    remaining[l] = static_cast<double>(static_cast<WriteCount>(std::llround(
-        std::max(1.0, endurance_->line_endurance(PhysLineAddr{l})))));
-  }
-
-  // Initial budgets, kept so per-line utilization (consumed / budget) can be
-  // reported at end of run — the event-driven analogue of analyze_wear().
-  scratch.budget.assign(remaining.begin(), remaining.end());
+  // continuous-time arithmetic. The initial budgets are kept so per-line
+  // utilization (consumed / budget) can be reported at end of run — the
+  // event-driven analogue of analyze_wear().
+  scratch.budget.resize(n);
+  endurance_->fill_write_budgets<double>(scratch.budget);
   const std::span<const double> budget(scratch.budget);
+  scratch.remaining.assign(budget.begin(), budget.end());
+  const std::span<double> remaining(scratch.remaining);
 
   // Per-index write rate (writes per round): 1.0 everywhere in the uniform
   // default, the normalized weight vector otherwise. A line's wear rate is
@@ -125,19 +135,30 @@ LifetimeResult UniformEventSimulator::run() {
     rate[b] += idx_rate(static_cast<std::uint32_t>(idx));
   }
 
-  // The death heap: reserving up front makes the common case (deaths ≈
-  // lines) grow-free. push and pop are the calls std::priority_queue makes.
-  auto& heap = scratch.heap;
-  heap.clear();
-  heap.reserve(n + 64);
-  const auto push = [&heap](double death_time, std::uint64_t line,
-                            std::uint32_t v) {
-    heap.emplace_back(death_time, static_cast<std::uint32_t>(line), v);
-    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+  // The death queue: every loaded line's first death, heapified in one
+  // pass. Reserving up front makes the common case (deaths ≈ lines)
+  // grow-free.
+  using DeathKey = EventScratch::DeathKey;
+  auto& queue = scratch.queue;
+  queue.clear();
+  queue.reserve(n + 64);
+  const auto key = [](double death_time, std::uint64_t line,
+                      std::uint32_t v) {
+    return DeathKey{std::bit_cast<std::uint64_t>(death_time),
+                    (line << 32) | v};
   };
   for (std::uint64_t l = 0; l < n; ++l) {
-    if (rate[l] > 0.0) push(remaining[l] / rate[l], l, version[l]);
+    if (rate[l] > 0.0) {
+      queue.push_back(key(remaining[l] / rate[l], l, version[l]));
+    }
   }
+  std::make_heap(queue.begin(), queue.end(), later);
+  const auto push = [&queue, &key](double death_time, std::uint64_t line,
+                                   std::uint32_t v) {
+    queue.push_back(key(death_time, line, v));
+    std::push_heap(queue.begin(), queue.end(), later);
+  };
+  schedule_span.reset();
 
   // Accrue wear on `l` up to time `t` under its current rate.
   const auto settle = [&](std::uint64_t l, double t) {
@@ -159,10 +180,13 @@ LifetimeResult UniformEventSimulator::run() {
     region_line_deaths = scratch.region_line_deaths;
   }
 
-  while (!heap.empty() && !result.failed) {
-    const auto [death_time, line, v] = heap.front();
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-    heap.pop_back();
+  while (!queue.empty() && !result.failed) {
+    const DeathKey next = queue.front();
+    std::pop_heap(queue.begin(), queue.end(), later);
+    queue.pop_back();
+    const double death_time = std::bit_cast<double>(next.time_bits);
+    const auto line = static_cast<std::uint32_t>(next.line_version >> 32);
+    const auto v = static_cast<std::uint32_t>(next.line_version);
     if (v != version[line] || rate[line] <= 0.0) continue;  // stale entry
 
     t = death_time;
@@ -262,7 +286,7 @@ LifetimeResult UniformEventSimulator::run() {
   }
 
   if (!result.failed) {
-    // Defensive: with the bundled schemes failure always precedes heap
+    // Defensive: with the bundled schemes failure always precedes queue
     // exhaustion, but a custom scheme with unbounded spares could get here.
     result.failed = true;
     result.failure_reason = "all backed lines worn out";
@@ -283,13 +307,16 @@ LifetimeResult UniformEventSimulator::run() {
   // Per-line utilization Gini at end of run, matching analyze_wear()'s
   // definition. Lines still under load accrued wear since their last
   // settle; bring every line up to the failure time first.
-  scratch.utilization.resize(n);
-  for (std::uint64_t l = 0; l < n; ++l) {
-    if (rate[l] > 0.0) settle(l, t);
-    scratch.utilization[l] =
-        budget[l] > 0 ? (budget[l] - remaining[l]) / budget[l] : 0.0;
+  {
+    const ScopedProfPhase gini_span(obs_.profiler, ProfPhase::kEventWearGini);
+    scratch.utilization.resize(n);
+    for (std::uint64_t l = 0; l < n; ++l) {
+      if (rate[l] > 0.0) settle(l, t);
+      scratch.utilization[l] =
+          budget[l] > 0 ? (budget[l] - remaining[l]) / budget[l] : 0.0;
+    }
+    result.wear_gini = gini_in_place(scratch.utilization);
   }
-  result.wear_gini = gini_in_place(scratch.utilization);
 
   if (obs_.events != nullptr) {
     obs_.events->set_now(result.user_writes);

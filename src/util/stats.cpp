@@ -1,11 +1,13 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "util/serialize.h"
 
@@ -125,9 +127,49 @@ double gini(std::span<const double> xs) {
   return gini_in_place(sorted);
 }
 
+namespace {
+
+/// Sorts `xs` ascending. Runs of bit-identical neighbours are collapsed to
+/// (value, length), the runs are sorted, and the sorted runs are written
+/// back: a sample that repeats few values, like a device whose lines share
+/// their region's wear, sorts a handful of runs instead of every element.
+/// When the runs would not shorten the work by half, the elements are
+/// sorted directly.
+void sort_by_runs(std::span<double> xs) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::size_t count = 1;
+  for (std::size_t i = 1; i < xs.size(); ++i) {
+    count += static_cast<std::size_t>(bits(xs[i]) != bits(xs[i - 1]));
+  }
+  if (2 * count > xs.size()) {
+    std::sort(xs.begin(), xs.end());
+    return;
+  }
+
+  struct Run {
+    double value;
+    std::size_t length;
+  };
+  std::vector<Run> runs;
+  runs.reserve(count);
+  std::size_t start = 0;
+  for (std::size_t i = 1; i <= xs.size(); ++i) {
+    if (i == xs.size() || bits(xs[i]) != bits(xs[start])) {
+      runs.push_back({xs[start], i - start});
+      start = i;
+    }
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const Run& a, const Run& b) { return a.value < b.value; });
+  auto out = xs.begin();
+  for (const Run& run : runs) out = std::fill_n(out, run.length, run.value);
+}
+
+}  // namespace
+
 double gini_in_place(std::span<double> xs) {
   if (xs.size() < 2) return 0.0;
-  std::sort(xs.begin(), xs.end());
+  sort_by_runs(xs);
   if (xs.front() < 0.0) {
     throw std::invalid_argument("gini: inputs must be non-negative");
   }

@@ -65,8 +65,10 @@ double max_value(std::span<const double> xs);
 /// and return 0. Throws std::invalid_argument on negative values.
 double gini(std::span<const double> xs);
 
-/// gini() over caller-owned storage: sorts `xs` in place instead of a copy,
-/// so it allocates nothing. Bit-identical to gini().
+/// gini() over caller-owned storage: sorts `xs` in place instead of a copy.
+/// Bit-identical to gini(). Runs of bit-identical neighbours are sorted as
+/// (value, length) pairs when that halves the work, so a sample that
+/// repeats a few values sorts fast; only that path allocates (the run list).
 double gini_in_place(std::span<double> xs);
 
 /// max(xs) / min(xs), the paper's wear-imbalance ratio. Returns 1 for

@@ -3,10 +3,11 @@
 // GoldenTest holds the event engine to the paper's numbers within a band;
 // it cannot see a change that moves a lifetime by less than the band. This
 // test pins the exact outputs instead: every cell of a grid (geometry x
-// spare scheme x stationary attack x line jitter x seed) plus the paper's
-// full 1 GB Max-WE configuration is reduced to one 64-bit FNV-1a digest of
-// every LifetimeResult field (doubles by their bit pattern) and the
-// decision event-log bytes, and compared with the table below.
+// spare scheme x stationary attack x line jitter x seed), a grid of
+// device-fault cells, and the paper's full 1 GB Max-WE configuration are
+// each reduced to one 64-bit FNV-1a digest of every LifetimeResult field
+// (doubles by their bit pattern) and the decision event-log bytes, and
+// compared with the tables below.
 //
 // Each cell runs twice: on fresh objects, and back to back with every other
 // cell through one shared ExperimentWorkspace. Both must match the pinned
@@ -22,6 +23,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -333,6 +335,86 @@ constexpr Golden kGolden[] = {
 
 constexpr std::uint64_t kPaperMaxWe1GbDigest = 0x6107f1864b7125e6ULL;
 
+// Device-fault cells: stuck-at and early-death lines give the device map
+// per-line values, so budgets are rounded line by line; outlier regions
+// scale whole regions and keep the map region-constant.
+// clang-format off
+constexpr Golden kFaultGolden[] = {
+    {"1024x32/freep/hotspot/early", 0xcb4b082b0709f916ULL},
+    {"1024x32/freep/hotspot/outlier", 0x3ef3480976a693f9ULL},
+    {"1024x32/freep/hotspot/stuck", 0xeed4778479507a5aULL},
+    {"1024x32/freep/uaa/early", 0x69965ed1d7abd989ULL},
+    {"1024x32/freep/uaa/outlier", 0x208d9740427848a1ULL},
+    {"1024x32/freep/uaa/stuck", 0x2f74b0c780a42109ULL},
+    {"1024x32/freep/zipf/early", 0xec34c81aac972909ULL},
+    {"1024x32/freep/zipf/outlier", 0xd5cb1b957c0c41efULL},
+    {"1024x32/freep/zipf/stuck", 0xdb158db63de4407eULL},
+    {"1024x32/maxwe/hotspot/early", 0x96bf733e12ed0dbbULL},
+    {"1024x32/maxwe/hotspot/outlier", 0xe7b497d20a066cb0ULL},
+    {"1024x32/maxwe/hotspot/stuck", 0x517a78fefafdf256ULL},
+    {"1024x32/maxwe/uaa/early", 0xf1f2fa5f70ae800dULL},
+    {"1024x32/maxwe/uaa/outlier", 0x933d08607755d5e1ULL},
+    {"1024x32/maxwe/uaa/stuck", 0xf0746333ad9110ebULL},
+    {"1024x32/maxwe/zipf/early", 0xb7087db6f1db37faULL},
+    {"1024x32/maxwe/zipf/outlier", 0xacd659eaa8e2c163ULL},
+    {"1024x32/maxwe/zipf/stuck", 0xe20690b8192a160eULL},
+    {"1024x32/none/hotspot/early", 0x5ceaf8781784e6c1ULL},
+    {"1024x32/none/hotspot/outlier", 0x332ac61bcdf5d330ULL},
+    {"1024x32/none/hotspot/stuck", 0xca94ea45fa50c544ULL},
+    {"1024x32/none/uaa/early", 0x1c96e03fe5b3cb2aULL},
+    {"1024x32/none/uaa/outlier", 0x8c152c9a80a27269ULL},
+    {"1024x32/none/uaa/stuck", 0x552a64cb3c9226e7ULL},
+    {"1024x32/none/zipf/early", 0x431340a38a969444ULL},
+    {"1024x32/none/zipf/outlier", 0x2b53ad92ccf3fb93ULL},
+    {"1024x32/none/zipf/stuck", 0xb1beabcdb16a3f14ULL},
+    {"1024x32/ps/hotspot/early", 0xb2485356b522d732ULL},
+    {"1024x32/ps/hotspot/outlier", 0x815631abf995be3eULL},
+    {"1024x32/ps/hotspot/stuck", 0x6259fac5493d0c4bULL},
+    {"1024x32/ps/uaa/early", 0x475f80f30364eb3cULL},
+    {"1024x32/ps/uaa/outlier", 0x122f0b448070910fULL},
+    {"1024x32/ps/uaa/stuck", 0xbf6dadd658ce3298ULL},
+    {"1024x32/ps/zipf/early", 0xf049c3541d14137cULL},
+    {"1024x32/ps/zipf/outlier", 0xdeb05ae70eb01e6bULL},
+    {"1024x32/ps/zipf/stuck", 0xed00a7a650546ed2ULL},
+    {"256x16/freep/hotspot/early", 0xd6959e1fcc935240ULL},
+    {"256x16/freep/hotspot/outlier", 0xcdfe138577def362ULL},
+    {"256x16/freep/hotspot/stuck", 0x637629d79ca06a64ULL},
+    {"256x16/freep/uaa/early", 0x8d273b10540656e4ULL},
+    {"256x16/freep/uaa/outlier", 0x9b733acf7bd374ffULL},
+    {"256x16/freep/uaa/stuck", 0xd7a6f45dad0c96e2ULL},
+    {"256x16/freep/zipf/early", 0xcc4cfce52594307aULL},
+    {"256x16/freep/zipf/outlier", 0x7a9a18c9ea671cc4ULL},
+    {"256x16/freep/zipf/stuck", 0x0271ced2cadfe76cULL},
+    {"256x16/maxwe/hotspot/early", 0xb7237191729c5b0dULL},
+    {"256x16/maxwe/hotspot/outlier", 0x6933bceaf506f6feULL},
+    {"256x16/maxwe/hotspot/stuck", 0xbae85e1901ca2065ULL},
+    {"256x16/maxwe/uaa/early", 0x3a7f7d54152dae75ULL},
+    {"256x16/maxwe/uaa/outlier", 0x579b32ee3ba5c90aULL},
+    {"256x16/maxwe/uaa/stuck", 0x318218efc312ba30ULL},
+    {"256x16/maxwe/zipf/early", 0x006c61b2e60a00e7ULL},
+    {"256x16/maxwe/zipf/outlier", 0xf08798e356a7f204ULL},
+    {"256x16/maxwe/zipf/stuck", 0x6634981c30de4b33ULL},
+    {"256x16/none/hotspot/early", 0xde022e72440a5d02ULL},
+    {"256x16/none/hotspot/outlier", 0xae4f43eda7076c2dULL},
+    {"256x16/none/hotspot/stuck", 0xfe444b03bcfae86aULL},
+    {"256x16/none/uaa/early", 0xddda41ca29764c57ULL},
+    {"256x16/none/uaa/outlier", 0x1f2669444908d1daULL},
+    {"256x16/none/uaa/stuck", 0x53295016a2a0c0c0ULL},
+    {"256x16/none/zipf/early", 0x0b8df67a6341b1c7ULL},
+    {"256x16/none/zipf/outlier", 0x0512f7a9340d5fe6ULL},
+    {"256x16/none/zipf/stuck", 0x55cb8dc848dff9a9ULL},
+    {"256x16/ps/hotspot/early", 0x9bd45e9ab4827990ULL},
+    {"256x16/ps/hotspot/outlier", 0xd8c794f178cc171eULL},
+    {"256x16/ps/hotspot/stuck", 0x5e479f20491abab4ULL},
+    {"256x16/ps/uaa/early", 0x99313fe732e15b4fULL},
+    {"256x16/ps/uaa/outlier", 0x0fae6c31f8ba0d13ULL},
+    {"256x16/ps/uaa/stuck", 0xdb5ecb9756d056feULL},
+    {"256x16/ps/zipf/early", 0x5340d188e03167c0ULL},
+    {"256x16/ps/zipf/outlier", 0x70befb3e3be5d47cULL},
+    {"256x16/ps/zipf/stuck", 0x8ff907b6e47c1df5ULL},
+};
+// clang-format on
+
 class Fnv1a {
  public:
   void bytes(const void* data, std::size_t size) {
@@ -425,11 +507,50 @@ std::map<std::string, ExperimentConfig> grid_cells() {
   return cells;
 }
 
-/// Compares computed digests with the pinned grid, in both directions (no
-/// stale rows, no new cells missing from the table).
-void expect_pinned(const std::map<std::string, std::uint64_t>& computed) {
+/// Every device-fault cell, keyed
+/// "<lines>x<regions>/<scheme>/<attack>/<fault>": one fault class per cell
+/// on the grid's endurance, seed 1.
+std::map<std::string, ExperimentConfig> fault_cells() {
+  std::map<std::string, ExperimentConfig> cells;
+  const std::pair<std::uint64_t, std::uint64_t> geometries[] = {{256, 16},
+                                                                {1024, 32}};
+  for (const auto& [lines, regions] : geometries) {
+    for (const std::string scheme : {"none", "ps", "freep", "maxwe"}) {
+      for (const std::string attack : {"uaa", "hotspot", "zipf"}) {
+        for (const std::string fault : {"stuck", "early", "outlier"}) {
+          ExperimentConfig c;
+          c.geometry = DeviceGeometry::scaled(lines, regions);
+          c.endurance.endurance_at_mean = 1000.0;
+          c.mode = SimulationMode::kUniformEvent;
+          c.spare_scheme = scheme;
+          c.attack = attack;
+          c.hotspot_working_set = 8;
+          c.seed = 1;
+          if (fault == "stuck") {
+            c.fault.device.stuck_at_lines = lines / 64;
+          } else if (fault == "early") {
+            c.fault.device.early_death_lines = lines / 32;
+            c.fault.device.early_death_fraction = 0.05;
+          } else {
+            c.fault.device.outlier_regions = 2;
+            c.fault.device.outlier_factor = 0.3;
+          }
+          cells.emplace(std::to_string(lines) + "x" + std::to_string(regions) +
+                            "/" + scheme + "/" + attack + "/" + fault,
+                        c);
+        }
+      }
+    }
+  }
+  return cells;
+}
+
+/// Compares computed digests with the pinned `table`, in both directions
+/// (no stale rows, no new cells missing from the table).
+void expect_pinned(const std::map<std::string, std::uint64_t>& computed,
+                   std::span<const Golden> table = kGolden) {
   std::map<std::string, std::uint64_t> pinned;
-  for (const Golden& g : kGolden) pinned.emplace(g.cell, g.digest);
+  for (const Golden& g : table) pinned.emplace(g.cell, g.digest);
   bool all_match = pinned.size() == computed.size();
   for (const auto& [cell, digest] : computed) {
     const auto it = pinned.find(cell);
@@ -473,6 +594,18 @@ TEST(EventEngineGoldenTest, GridBackToBackThroughOneWorkspace) {
     computed.emplace(cell, run_cell(config, &workspace));
   }
   expect_pinned(computed);
+}
+
+TEST(EventEngineGoldenTest, DeviceFaults) {
+  ExperimentWorkspace workspace;
+  std::map<std::string, std::uint64_t> fresh;
+  std::map<std::string, std::uint64_t> reused;
+  for (const auto& [cell, config] : fault_cells()) {
+    fresh.emplace(cell, run_cell(config, nullptr));
+    reused.emplace(cell, run_cell(config, &workspace));
+  }
+  expect_pinned(fresh, kFaultGolden);
+  expect_pinned(reused, kFaultGolden);
 }
 
 TEST(EventEngineGoldenTest, PaperMaxWe1Gb) {

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace nvmsec {
 namespace {
@@ -212,6 +218,105 @@ TEST(GiniTest, InPlaceMatchesCopyBitForBitAndSorts) {
   const double copied = gini(values);
   EXPECT_EQ(gini_in_place(values), copied);
   EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
+}
+
+/// gini_in_place() spelled out the plain way: copy, std::sort, and the
+/// same two sums in the same order.
+double reference_gini(std::vector<double> xs) {
+  if (xs.size() < 2) return 0.0;
+  std::sort(xs.begin(), xs.end());
+  if (xs.front() < 0.0) throw std::invalid_argument("negative input");
+  const auto n = static_cast<double>(xs.size());
+  double sum = 0.0;
+  double weighted = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    sum += xs[i];
+    weighted += static_cast<double>(i + 1) * xs[i];
+  }
+  if (sum == 0.0) return 0.0;
+  return 2.0 * weighted / (n * sum) - (n + 1.0) / n;
+}
+
+/// A seeded sample of `n` values of one shape: heavy ties from a small
+/// palette, long runs of exact 0.0 and 1.0 between random values, short
+/// runs of repeating values, runs of +0.0 and -0.0 among positives, all
+/// equal, or all distinct.
+std::vector<double> gini_sample(const std::string& shape, std::size_t n,
+                                Rng& rng) {
+  std::vector<double> xs(n);
+  if (shape == "ties") {
+    const double palette[] = {0.0, 0.125, 0.5, 0.75, 1.0, 3.0};
+    for (double& x : xs) x = palette[rng.uniform_u64(6)];
+  } else if (shape == "zero_one_runs") {
+    // A few dozen runs whatever n is: 0.0, 1.0 or one random value each.
+    std::size_t i = 0;
+    while (i < n) {
+      const std::size_t len = 1 + rng.uniform_u64(std::max<std::size_t>(
+                                      1, n / 16));
+      const std::uint64_t kind = rng.uniform_u64(3);
+      const double x = kind == 0 ? 0.0 : kind == 1 ? 1.0 : rng.uniform_double();
+      for (std::size_t k = 0; k < len && i < n; ++k, ++i) xs[i] = x;
+    }
+  } else if (shape == "short_runs") {
+    // Runs of 1 to 8 equal values, repeating across runs: thousands of
+    // runs at the larger sizes, yet fewer than n / 2.
+    std::size_t i = 0;
+    while (i < n) {
+      const std::size_t len = 1 + rng.uniform_u64(8);
+      const double x = static_cast<double>(rng.uniform_u64(200)) / 199.0;
+      for (std::size_t k = 0; k < len && i < n; ++k, ++i) xs[i] = x;
+    }
+  } else if (shape == "signed_zeros") {
+    // Runs of 1 to 8 values, each +0.0, -0.0 or a random positive: +0.0
+    // and -0.0 compare equal but must stay separate runs.
+    std::size_t i = 0;
+    while (i < n) {
+      const std::size_t len = 1 + rng.uniform_u64(8);
+      const std::uint64_t kind = rng.uniform_u64(5);
+      const double x = kind < 2   ? 0.0
+                       : kind < 4 ? -0.0
+                                  : rng.uniform_double();
+      for (std::size_t k = 0; k < len && i < n; ++k, ++i) xs[i] = x;
+    }
+  } else if (shape == "all_equal") {
+    std::fill(xs.begin(), xs.end(), 0.37);
+  } else {
+    for (double& x : xs) x = rng.uniform_double();
+  }
+  return xs;
+}
+
+TEST(GiniTest, InPlaceMatchesSortedSumsOnSeededSamples) {
+  const char* const shapes[] = {"ties",         "zero_one_runs", "short_runs",
+                                "signed_zeros", "all_equal",     "distinct"};
+  const std::size_t sizes[] = {2,   3,   15,  16,   17,   63,   64,   65,
+                               100, 255, 256, 1000, 4096, 65536};
+  Rng rng(2024);
+  for (const char* shape : shapes) {
+    for (const std::size_t n : sizes) {
+      SCOPED_TRACE(std::string(shape) + " n=" + std::to_string(n));
+      const std::vector<double> input = gini_sample(shape, n, rng);
+      std::vector<double> xs = input;
+      const double got = gini_in_place(xs);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(reference_gini(input)));
+      ASSERT_TRUE(std::is_sorted(xs.begin(), xs.end()));
+      // Still a permutation of the input, signed zeros included.
+      std::vector<double> expected = input;
+      std::sort(expected.begin(), expected.end());
+      EXPECT_TRUE(std::equal(xs.begin(), xs.end(), expected.begin()));
+      const auto negative_zeros = [](const std::vector<double>& v) {
+        return std::count_if(v.begin(), v.end(), [](double x) {
+          return x == 0.0 && std::signbit(x);
+        });
+      };
+      EXPECT_EQ(negative_zeros(xs), negative_zeros(input));
+
+      std::vector<double> with_negative = input;
+      with_negative[rng.uniform_u64(n)] = -1e-9;
+      EXPECT_THROW(gini_in_place(with_negative), std::invalid_argument);
+    }
+  }
 }
 
 TEST(MaxMinRatioTest, DegenerateInputsAreBalanced) {
