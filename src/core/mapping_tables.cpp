@@ -62,9 +62,16 @@ void RegionMappingTable::add_pair(RegionId pra, RegionId sra) {
   if (sra_used_[sra.value()]) {
     throw std::invalid_argument("RMT::add_pair: sra already used");
   }
-  index_[pra.value()] = static_cast<std::int32_t>(entries_.size());
-  entries_.push_back(Entry{sra, std::vector<bool>(lines_per_region_, false),
-                           entry_crc(pra, sra), false});
+  // Entries past size() are left over from before clear(): reuse the first
+  // one, tag storage included.
+  const std::size_t k = pairs_.size();
+  if (k == entries_.size()) entries_.emplace_back();
+  Entry& entry = entries_[k];
+  entry.sra = sra;
+  entry.wot.assign(lines_per_region_, false);
+  entry.crc = entry_crc(pra, sra);
+  entry.wot_parity = false;
+  index_[pra.value()] = static_cast<std::int32_t>(k);
   pairs_.emplace_back(pra, sra);
   sra_used_[sra.value()] = true;
 }
@@ -158,16 +165,15 @@ std::uint64_t RegionMappingTable::storage_bits() const {
 }
 
 void RegionMappingTable::reset_tags() {
-  for (auto& e : entries_) {
-    e.wot.assign(lines_per_region_, false);
-    e.wot_parity = false;
+  for (std::size_t k = 0; k < pairs_.size(); ++k) {
+    entries_[k].wot.assign(lines_per_region_, false);
+    entries_[k].wot_parity = false;
   }
   tags_set_ = 0;
 }
 
 void RegionMappingTable::clear() {
   index_.assign(num_regions_, -1);
-  entries_.clear();
   pairs_.clear();
   sra_used_.assign(num_regions_, false);
   tags_set_ = 0;

@@ -69,8 +69,10 @@ class RegionMappingTable {
 
   void reset_tags();
 
-  /// Remove every pair, keeping the table's storage: the same table a fresh
-  /// RegionMappingTable(num_regions, lines_per_region) would be.
+  /// Remove every pair, keeping the table's storage (the entries' tag
+  /// vectors included, for the next add_pair calls to reuse): the same
+  /// table a fresh RegionMappingTable(num_regions, lines_per_region) would
+  /// be.
   void clear();
 
   // --- Integrity ---------------------------------------------------------
@@ -106,6 +108,8 @@ class RegionMappingTable {
   std::uint64_t lines_per_region_;
   /// pra -> index into entries_, -1 when absent. Dense: R is small (2048).
   std::vector<std::int32_t> index_;
+  /// The first size() entries are live, in pairs_ order; any after them
+  /// are kept from before clear() for add_pair to reuse.
   std::vector<Entry> entries_;
   std::vector<std::pair<RegionId, RegionId>> pairs_;
   std::vector<bool> sra_used_;

@@ -35,6 +35,7 @@ MaxWe::MaxWe(std::shared_ptr<const EnduranceMap> endurance, MaxWeParams params)
 }
 
 void MaxWe::build_allocation() {
+  rmt_.clear();
   const DeviceGeometry& geom = endurance_->geometry();
   const std::uint64_t num_regions = geom.num_regions();
   const std::uint64_t lpr = geom.lines_per_region();
@@ -52,7 +53,9 @@ void MaxWe::build_allocation() {
         "MaxWe: spare configuration leaves no user capacity");
   }
 
-  const std::vector<RegionId> order = endurance_->regions_weakest_first();
+  endurance_->regions_weakest_first(region_buffer_);
+  const std::vector<RegionId>& order = region_buffer_;
+  spare_region_.assign(num_regions, false);
   if (params_.selection == SpareSelectionPolicy::kWeakPriority) {
     // Weak-priority: carve the spare roles off the weak end of the
     // manufacture-time endurance ordering (Fig. 3's worked example).
@@ -82,22 +85,20 @@ void MaxWe::build_allocation() {
                  spares.begin() + static_cast<std::ptrdiff_t>(n_swr));
     asrs_.assign(spares.begin() + static_cast<std::ptrdiff_t>(n_swr),
                  spares.end());
-    std::vector<bool> is_spare(num_regions, false);
-    for (RegionId r : spares) is_spare[r.value()] = true;
+    for (RegionId r : spares) spare_region_[r.value()] = true;
     rwrs_.clear();
     for (RegionId r : order) {
       if (rwrs_.size() == n_swr) break;
-      if (!is_spare[r.value()]) rwrs_.push_back(r);
+      if (!spare_region_[r.value()]) rwrs_.push_back(r);
     }
   }
 
-  std::vector<bool> is_spare_region(num_regions, false);
-  for (RegionId r : swrs_) is_spare_region[r.value()] = true;
-  for (RegionId r : asrs_) is_spare_region[r.value()] = true;
+  for (RegionId r : swrs_) spare_region_[r.value()] = true;
+  for (RegionId r : asrs_) spare_region_[r.value()] = true;
 
   user_regions_.clear();
   for (std::uint64_t r = 0; r < num_regions; ++r) {
-    if (!is_spare_region[r]) user_regions_.push_back(RegionId{r});
+    if (!spare_region_[r]) user_regions_.push_back(RegionId{r});
   }
   user_lines_ = user_regions_.size() * lpr;
 
@@ -113,8 +114,10 @@ void MaxWe::build_allocation() {
 
   // Additional spare pool, strongest line first (§4.2: "allocates the
   // strongest spare line"). Regions have constant endurance, so order the
-  // regions strongest-first and take their lines in address order.
-  std::vector<RegionId> asr_by_strength = asrs_;
+  // regions strongest-first (in the region order's storage, which is done
+  // with) and take their lines in address order.
+  std::vector<RegionId>& asr_by_strength = region_buffer_;
+  asr_by_strength.assign(asrs_.begin(), asrs_.end());
   std::sort(asr_by_strength.begin(), asr_by_strength.end(),
             [&](RegionId a, RegionId b) {
               const Endurance ea = endurance_->region_endurance(a);
@@ -491,10 +494,9 @@ bool MaxWe::rebind(const std::shared_ptr<const EnduranceMap>& endurance,
     return false;
   }
   endurance_ = endurance;
-  // Fresh boot state, exactly as the constructor would leave it: empty
-  // tables, cleared in place (build_allocation re-derives the RMT pairing
-  // and re-provisions the LMT), zero stats, detached observer.
-  rmt_.clear();
+  // Fresh boot state, exactly as the constructor would leave it: tables
+  // cleared in place (build_allocation re-derives the RMT pairing and
+  // re-provisions the LMT), zero stats, detached observer.
   stats_ = {};
   obs_ = Observer{};
   rmt_redirects_ = nullptr;

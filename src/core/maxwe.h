@@ -164,6 +164,11 @@ class MaxWe final : public SpareScheme {
   std::vector<RegionId> rwrs_;  // next weakest, user space, RMT-rescued
   std::vector<RegionId> asrs_;  // additional spare regions (line-mapped)
   std::vector<RegionId> user_regions_;  // ascending id; includes RWRs
+  /// build_allocation's working storage, kept so a rebind allocates
+  /// nothing: a region list (the weakest-first order, then the ASRs
+  /// strongest-first) and a per-region spare flag.
+  std::vector<RegionId> region_buffer_;
+  std::vector<bool> spare_region_;
 
   RegionMappingTable rmt_;
   LineMappingTable lmt_;

@@ -150,7 +150,13 @@ Endurance EnduranceMap::max_line_endurance() const {
 }
 
 std::vector<RegionId> EnduranceMap::regions_weakest_first() const {
-  std::vector<RegionId> order(geometry_.num_regions());
+  std::vector<RegionId> order;
+  regions_weakest_first(order);
+  return order;
+}
+
+void EnduranceMap::regions_weakest_first(std::vector<RegionId>& order) const {
+  order.resize(geometry_.num_regions());
   for (std::uint64_t i = 0; i < order.size(); ++i) order[i] = RegionId{i};
   // Ties are broken by id, so the order is total and std::sort needs no
   // stable merge buffer to be deterministic.
@@ -160,7 +166,6 @@ std::vector<RegionId> EnduranceMap::regions_weakest_first() const {
     if (ea != eb) return ea < eb;
     return a.value() < b.value();
   });
-  return order;
 }
 
 std::vector<PhysLineAddr> EnduranceMap::lines_weakest_first() const {

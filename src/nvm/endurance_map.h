@@ -110,6 +110,8 @@ class EnduranceMap {
   /// Region ids sorted by ascending region endurance (weakest first).
   /// Ties broken by region id so the order is deterministic.
   [[nodiscard]] std::vector<RegionId> regions_weakest_first() const;
+  /// The same order written into `order`, reusing its storage.
+  void regions_weakest_first(std::vector<RegionId>& order) const;
 
   /// Line addresses sorted by ascending line endurance (weakest first).
   [[nodiscard]] std::vector<PhysLineAddr> lines_weakest_first() const;

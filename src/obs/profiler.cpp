@@ -33,6 +33,7 @@ constexpr ProfPhaseInfo kProfPhaseInfo[] = {
     {"fleet.shard", ProfPhase::kCount},
     {"fleet.device", ProfPhase::kFleetShard},
     {"fleet.checkpoint", ProfPhase::kFleetShard},
+    {"fleet.fold", ProfPhase::kFleetShard},
     {"fleet.merge", ProfPhase::kCount},
 };
 static_assert(sizeof(kProfPhaseInfo) / sizeof(kProfPhaseInfo[0]) ==

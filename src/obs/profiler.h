@@ -55,10 +55,11 @@ enum class ProfPhase : std::uint8_t {
   kEventSchedule,        // event-sim budgets, reverse map and queue build
   kEventWearGini,        // event-sim final wear settle and utilization Gini
   kBitRun,               // BitEngine::run end to end
-  kFleetShard,           // one shard: device loop + fold + compress
+  kFleetShard,           // one shard: device loop, compress, journal record
   kFleetDevice,          // one device's run_experiment inside a shard
   kFleetCheckpoint,      // fleet checkpoint rewrite after a shard lands
-  kFleetMerge,           // final merge of shard aggregates
+  kFleetFold,            // in-order fold of landed shards before the join
+  kFleetMerge,           // fold of the shards left after the join
   kCount,
 };
 

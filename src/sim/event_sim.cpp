@@ -22,15 +22,92 @@ namespace nvmsec {
 namespace {
 constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
 
-/// Heap order for the death queue: true when `a` dies after `b` (so the
-/// std heap algorithms keep the earliest death at the front). Bitwise &
-/// and | keep the two-word compare free of branches; a lambda rather than
-/// a function, so the heap algorithms inline it instead of calling through
-/// a pointer.
-constexpr auto later = [](const EventScratch::DeathKey& a,
-                          const EventScratch::DeathKey& b) {
-  return (a.time_bits > b.time_bits) |
-         ((a.time_bits == b.time_bits) & (a.line_version > b.line_version));
+/// The death queue: an indexed winner tree over lines, in EventScratch's
+/// storage. Leaf l holds line l's death time as IEEE-754 bits while the
+/// line is loaded and kIdle otherwise; death times are positive, so their
+/// bit patterns order as unsigned integers exactly as the doubles do. Inner
+/// node i (children 2i and 2i+1, leaves at leaves + l) holds the winning
+/// line of its subtree: the earliest death, the lower line on a tie. The
+/// left subtree always holds the lower lines, so a tie goes left, and the
+/// root pops in (death time, line) order.
+class DeathTree {
+ public:
+  static constexpr std::uint64_t kIdle = ~std::uint64_t{0};
+
+  /// Sizes the tree for `n` lines, every leaf idle; set() the loaded lines,
+  /// then build().
+  DeathTree(EventScratch& scratch, std::uint64_t n)
+      : leaves_(std::max<std::uint64_t>(2, std::bit_ceil(n))) {
+    scratch.death_bits.assign(leaves_, kIdle);
+    scratch.winner.resize(leaves_);
+    bits_ = scratch.death_bits;
+    winner_ = scratch.winner;
+  }
+
+  void set(std::uint64_t line, double death_time) {
+    bits_[line] = std::bit_cast<std::uint64_t>(death_time);
+  }
+
+  /// Fills every inner node bottom-up in one pass.
+  void build() {
+    for (std::uint64_t i = leaves_ - 1; i >= leaves_ / 2; --i) {
+      const auto left = static_cast<std::uint32_t>(2 * i - leaves_);
+      winner_[i] = pick(left, left + 1);
+    }
+    for (std::uint64_t i = leaves_ / 2 - 1; i >= 1; --i) {
+      winner_[i] = pick(winner_[2 * i], winner_[2 * i + 1]);
+    }
+  }
+
+  /// True while some line is loaded.
+  [[nodiscard]] bool any() const { return bits_[winner_[1]] != kIdle; }
+  /// The line that dies next and its death time; requires any().
+  [[nodiscard]] std::uint32_t top() const { return winner_[1]; }
+  [[nodiscard]] double top_time() const {
+    return std::bit_cast<double>(bits_[winner_[1]]);
+  }
+
+  /// Line `line` died or was unloaded: idle its leaf.
+  void idle(std::uint32_t line) {
+    bits_[line] = kIdle;
+    replay(line);
+  }
+  /// Line `line` took on load: it now dies at `death_time`.
+  void update(std::uint32_t line, double death_time) {
+    set(line, death_time);
+    replay(line);
+  }
+
+ private:
+  /// Winner of two subtrees' winners, `left` from the lower subtree.
+  [[nodiscard]] std::uint32_t pick(std::uint32_t left,
+                                   std::uint32_t right) const {
+    return bits_[right] < bits_[left] ? right : left;
+  }
+
+  /// Replays the matches on `line`'s path to the root after its leaf
+  /// changed. A node whose winner stays the same line, and that line is
+  /// not `line`, leaves every ancestor as it was, so the replay stops
+  /// there.
+  void replay(std::uint32_t line) {
+    std::uint64_t node = (leaves_ + line) >> 1;
+    std::uint32_t up = line;          // winner of the side we came from
+    std::uint32_t other = line ^ 1U;  // winner of its sibling
+    bool from_left = (line & 1U) == 0;
+    while (node != 0) {
+      const std::uint32_t w = from_left ? pick(up, other) : pick(other, up);
+      if (w == winner_[node] && w != line) return;
+      winner_[node] = w;
+      up = w;
+      from_left = (node & 1U) == 0;
+      other = winner_[node ^ 1U];
+      node >>= 1;
+    }
+  }
+
+  std::uint64_t leaves_;
+  std::span<std::uint64_t> bits_;
+  std::span<std::uint32_t> winner_;
 };
 }  // namespace
 
@@ -118,10 +195,8 @@ LifetimeResult UniformEventSimulator::run() {
 
   scratch.rate.assign(n, 0.0);
   scratch.last_t.assign(n, 0.0);
-  scratch.version.assign(n, 0);
   const std::span<double> rate(scratch.rate);
   const std::span<double> last_t(scratch.last_t);
-  const std::span<std::uint32_t> version(scratch.version);
   // Reverse map backing line -> working indices, as intrusive lists.
   scratch.list_head.assign(n, kNone);
   scratch.list_next.assign(u, kNone);
@@ -135,29 +210,12 @@ LifetimeResult UniformEventSimulator::run() {
     rate[b] += idx_rate(static_cast<std::uint32_t>(idx));
   }
 
-  // The death queue: every loaded line's first death, heapified in one
-  // pass. Reserving up front makes the common case (deaths ≈ lines)
-  // grow-free.
-  using DeathKey = EventScratch::DeathKey;
-  auto& queue = scratch.queue;
-  queue.clear();
-  queue.reserve(n + 64);
-  const auto key = [](double death_time, std::uint64_t line,
-                      std::uint32_t v) {
-    return DeathKey{std::bit_cast<std::uint64_t>(death_time),
-                    (line << 32) | v};
-  };
+  // The death queue: every loaded line's first death, built in one pass.
+  DeathTree queue(scratch, n);
   for (std::uint64_t l = 0; l < n; ++l) {
-    if (rate[l] > 0.0) {
-      queue.push_back(key(remaining[l] / rate[l], l, version[l]));
-    }
+    if (rate[l] > 0.0) queue.set(l, remaining[l] / rate[l]);
   }
-  std::make_heap(queue.begin(), queue.end(), later);
-  const auto push = [&queue, &key](double death_time, std::uint64_t line,
-                                   std::uint32_t v) {
-    queue.push_back(key(death_time, line, v));
-    std::push_heap(queue.begin(), queue.end(), later);
-  };
+  queue.build();
   schedule_span.reset();
 
   // Accrue wear on `l` up to time `t` under its current rate.
@@ -180,19 +238,12 @@ LifetimeResult UniformEventSimulator::run() {
     region_line_deaths = scratch.region_line_deaths;
   }
 
-  while (!queue.empty() && !result.failed) {
-    const DeathKey next = queue.front();
-    std::pop_heap(queue.begin(), queue.end(), later);
-    queue.pop_back();
-    const double death_time = std::bit_cast<double>(next.time_bits);
-    const auto line = static_cast<std::uint32_t>(next.line_version >> 32);
-    const auto v = static_cast<std::uint32_t>(next.line_version);
-    if (v != version[line] || rate[line] <= 0.0) continue;  // stale entry
-
-    t = death_time;
+  while (queue.any() && !result.failed) {
+    const std::uint32_t line = queue.top();
+    t = queue.top_time();
+    queue.idle(line);
     remaining[line] = 0;
     last_t[line] = t;
-    ++version[line];
     ++deaths;
 
     if (obs_.events != nullptr) {
@@ -279,8 +330,10 @@ LifetimeResult UniformEventSimulator::run() {
       list_next[idx] = list_head[nb];
       list_head[nb] = idx;
       rate[nb] += idx_rate(idx);
-      ++version[nb];
-      if (rate[nb] > 0.0) push(t + remaining[nb] / rate[nb], nb, version[nb]);
+      if (rate[nb] > 0.0) {
+        queue.update(static_cast<std::uint32_t>(nb),
+                     t + remaining[nb] / rate[nb]);
+      }
       idx = next_idx;
     }
   }

@@ -40,29 +40,21 @@ namespace nvmsec {
 /// sizes every vector on entry, so only their capacity carries over from
 /// one run to the next.
 struct EventScratch {
-  /// One death-queue entry, ordered as the tuple (death time in rounds,
-  /// line, line version at push time). Death times are positive, so their
-  /// IEEE-754 bit patterns order as unsigned integers exactly as the
-  /// doubles do; every (line, version) pair is pushed at most once, so no
-  /// two entries are equal and the pop order is the same whatever the
-  /// heap's layout.
-  struct DeathKey {
-    std::uint64_t time_bits;     ///< std::bit_cast of the death time
-    std::uint64_t line_version;  ///< line << 32 | version
-  };
-
   std::vector<double> remaining;  ///< per line: write budget left
   std::vector<double> budget;     ///< per line: initial write budget
   std::vector<double> rate;       ///< per line: writes per round
   std::vector<double> last_t;     ///< per line: time wear was last settled
-  std::vector<std::uint32_t> version;    ///< per line: live queue entry
   std::vector<std::uint32_t> list_head;  ///< per line: first index served
   std::vector<std::uint32_t> list_next;  ///< per index: next on its line
   std::vector<std::uint64_t> region_line_deaths;  ///< per region, if events
   std::vector<double> utilization;  ///< per line, for the final wear Gini
-  /// Min-heap of DeathKeys (std::make_heap once over the initial deaths,
-  /// then std::push_heap/pop_heap), earliest death at the front.
-  std::vector<DeathKey> queue;
+  /// The death queue, a winner tree over the lines padded to a power of
+  /// two (event_sim.cpp). Per leaf: the line's death time as IEEE-754 bits
+  /// while it is loaded, all ones otherwise.
+  std::vector<std::uint64_t> death_bits;
+  /// Per inner node (1 is the root, 0 is unused): the line that dies first
+  /// in its subtree, the lower line on a tie.
+  std::vector<std::uint32_t> winner;
 };
 
 class UniformEventSimulator {

@@ -370,7 +370,12 @@ std::uint64_t shard_count(const FleetSpec& spec, std::uint64_t shard) {
   return std::min(spec.shard_size, spec.devices - first);
 }
 
-/// Run one shard's devices (in device order) into a fresh aggregate.
+/// Run one shard's devices (in device order) into a fresh aggregate and
+/// serialize it into `record`, the shard's journal record. Serializing
+/// canonicalizes the sketches in place once more, and that can regroup
+/// centroids, so every campaign serializes each shard, journal or not, and
+/// folds the aggregate in its record's form: journaled, unjournaled and
+/// resumed campaigns then fold the same bytes.
 /// `prof` is the shard's private profiler (nullptr = no profiling): the
 /// shard runs on exactly one thread and its profiler is merged after the
 /// join, so the engines can record into it with no synchronization.
@@ -378,7 +383,8 @@ std::uint64_t shard_count(const FleetSpec& spec, std::uint64_t shard) {
 /// device, event scratch); it is an allocation strategy only and cannot
 /// change the aggregate.
 FleetAggregate run_shard(const FleetSpec& spec, std::uint64_t shard,
-                         ExperimentWorkspace* workspace, Profiler* prof) {
+                         ExperimentWorkspace* workspace, Profiler* prof,
+                         StateWriter& record) {
   const ScopedProfPhase shard_span(prof, ProfPhase::kFleetShard);
   FleetAggregate agg;
   const std::uint64_t first = shard_first(spec, shard);
@@ -412,7 +418,8 @@ FleetAggregate run_shard(const FleetSpec& spec, std::uint64_t shard,
     const std::string cause = classify_failure_cause(log, result, &truncated);
     agg.add(d, result, cause, truncated);
   }
-  agg.compress();  // canonical serialized form before checkpoint/merge
+  agg.compress();
+  agg.save_state(record);
   return agg;
 }
 
@@ -437,8 +444,8 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
       (spec.devices + spec.shard_size - 1) / spec.shard_size;
   const std::uint64_t fingerprint = fleet_fingerprint(spec);
 
-  std::vector<FleetAggregate> shard_aggs(num_shards);
-  std::vector<char> done(num_shards, 0);
+  // Completed shards not yet folded into the result, by shard index.
+  std::map<std::uint64_t, FleetAggregate> unfolded;
 
   if (options.resume && options.checkpoint_path.empty()) {
     throw std::invalid_argument(
@@ -461,8 +468,7 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
         FleetAggregate agg;
         StateReader shard_reader(rec.payload);
         agg.load_state(shard_reader).throw_if_error();
-        shard_aggs[rec.key] = std::move(agg);
-        done[rec.key] = 1;
+        unfolded.insert_or_assign(rec.key, std::move(agg));
       }
     } else if (replayed.status().code() != StatusCode::kNotFound) {
       replayed.status().throw_if_error();
@@ -480,7 +486,7 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
 
   std::vector<std::uint64_t> pending;
   for (std::uint64_t i = 0; i < num_shards; ++i) {
-    if (done[i] == 0) pending.push_back(i);
+    if (!unfolded.contains(i)) pending.push_back(i);
   }
   if (options.stop_after_shards > 0 &&
       pending.size() > options.stop_after_shards) {
@@ -507,21 +513,32 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
   // rebuilds replace it.
   std::vector<ExperimentWorkspace> workspaces(jobs);
 
-  // Completion-side state: checkpoint mirror, heartbeat progress and shard
-  // wall-time telemetry, all updated under one lock. The progress aggregate
-  // merges in completion order — telemetry only; the returned result merges
-  // in index order.
+  // Completion-side state: the fold into the result, checkpoint appends,
+  // heartbeat progress and shard wall-time telemetry, all updated under one
+  // lock. The result folds shards in index order: each completed shard
+  // waits in `unfolded` until every shard before it has folded, so the
+  // bytes are the same at every job count. The progress aggregate merges
+  // in completion order — telemetry only.
   std::mutex mu;
+  FleetResult result;
+  result.shards_total = num_shards;
+  std::uint64_t next_fold = 0;
+  const auto fold_ready = [&] {
+    for (auto it = unfolded.begin();
+         it != unfolded.end() && it->first == next_fold;
+         it = unfolded.erase(it)) {
+      result.aggregate.merge(it->second);
+      ++result.shards_done;
+      ++next_fold;
+    }
+  };
   FleetAggregate progress;
-  std::uint64_t shards_done_live = 0;
+  std::uint64_t shards_done_live = unfolded.size();
   std::uint64_t shards_timed = 0;
   std::uint64_t shard_wall_sum_ns = 0;
   std::uint64_t shard_wall_max_ns = 0;
-  for (char d : done) shards_done_live += d != 0 ? 1 : 0;
   if (options.heartbeat != nullptr) {
-    for (std::uint64_t i = 0; i < num_shards; ++i) {
-      if (done[i] != 0) progress.merge(shard_aggs[i]);
-    }
+    for (const auto& [shard, agg] : unfolded) progress.merge(agg);
   }
   const auto make_sample_locked = [&]() {
     HeartbeatSample s = make_sample(progress, spec.devices);
@@ -538,35 +555,40 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
     return s;
   };
   const auto complete_shard = [&](std::uint64_t shard, FleetAggregate agg,
+                                  const StateWriter& record,
                                   std::uint64_t wall_ns) {
     const std::lock_guard<std::mutex> lock(mu);
-    shard_aggs[shard] = std::move(agg);
-    done[shard] = 1;
     ++shards_done_live;
     ++shards_timed;
     shard_wall_sum_ns += wall_ns;
     shard_wall_max_ns = std::max(shard_wall_max_ns, wall_ns);
+    // The journal append and the fold are serialized by the lock; both are
+    // charged to the shard whose completion triggered them (that profiler
+    // is still exclusively this thread's until the merge after the join).
     if (journal.is_open()) {
-      // The journal append is serialized by the lock; attribute it to the
-      // shard whose completion triggered it (that profiler is still
-      // exclusively this thread's until the merge below).
       const ScopedProfPhase ckpt_span(shard_prof(shard),
                                       ProfPhase::kFleetCheckpoint);
-      StateWriter w;
-      shard_aggs[shard].save_state(w);
-      journal.append(shard, w.buffer()).throw_if_error();
+      journal.append(shard, record.buffer()).throw_if_error();
     }
     if (options.heartbeat != nullptr) {
-      progress.merge(shard_aggs[shard]);
+      progress.merge(agg);
       options.heartbeat->sample(make_sample_locked());
+    }
+    unfolded.emplace(shard, std::move(agg));
+    if (unfolded.begin()->first == next_fold) {
+      const ScopedProfPhase fold_span(shard_prof(shard),
+                                      ProfPhase::kFleetFold);
+      fold_ready();
     }
   };
   const auto run_one = [&](std::size_t k, std::size_t thread) {
     const std::uint64_t shard = pending[k];
     const std::uint64_t start_ns = Profiler::now_ns();
-    FleetAggregate agg =
-        run_shard(spec, shard, &workspaces[thread], shard_prof(shard));
-    complete_shard(shard, std::move(agg), Profiler::now_ns() - start_ns);
+    StateWriter record;
+    FleetAggregate agg = run_shard(spec, shard, &workspaces[thread],
+                                   shard_prof(shard), record);
+    complete_shard(shard, std::move(agg), record,
+                   Profiler::now_ns() - start_ns);
   };
 
   std::vector<WorkerUtilization> utilization;
@@ -578,15 +600,15 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
     for (const Profiler& p : shard_profilers) prof->merge(p);
   }
 
-  FleetResult result;
-  result.shards_total = num_shards;
   {
+    // What is left waits behind a shard that never ran (stop_after_shards)
+    // or sits after one (a resume's gaps): fold it in index order.
     const ScopedProfPhase merge_span(prof, ProfPhase::kFleetMerge);
-    for (std::uint64_t i = 0; i < num_shards; ++i) {
-      if (done[i] == 0) continue;
+    for (const auto& [shard, agg] : unfolded) {
+      result.aggregate.merge(agg);
       ++result.shards_done;
-      result.aggregate.merge(shard_aggs[i]);
     }
+    unfolded.clear();
     result.aggregate.compress();
   }
   if (options.heartbeat != nullptr) {

@@ -14,12 +14,16 @@
 //     device's trajectory depends only on the spec, never on scheduling.
 //   - Devices are grouped into fixed shards of `shard_size`; each shard
 //     folds its devices (in device order) into one FleetAggregate.
-//   - Completed shards merge into the final aggregate in shard-index
-//     order, so the fleet result is bit-identical at every --jobs level.
+//   - Completed shards fold into the result in shard-index order as soon
+//     as every earlier shard has folded, and are released, so the fleet
+//     result is bit-identical at every --jobs level and memory follows
+//     the shards in flight, not the campaign.
 //   - Each completed shard's aggregate is canonicalized (compressed) and
-//     appended to a MXWEJRNL shard journal (sim/journal.h); a
-//     SIGKILLed campaign resumes by replaying the journal, re-running only
-//     the missing shards, and produces a byte-identical fleet result.
+//     serialized into its journal record, journal or not, and folds in
+//     that record's form. With a journal, the record is appended to a
+//     MXWEJRNL shard journal (sim/journal.h); a SIGKILLed campaign
+//     resumes by replaying the journal, re-running only the missing
+//     shards, and produces a byte-identical fleet result.
 //
 // The live heartbeat (obs/heartbeat.h) is the one deliberately
 // non-deterministic output: it reports progress in completion order and

@@ -75,8 +75,10 @@ class QuantileSketch {
   /// Centroids after compress(), (mean, weight) in ascending mean order.
   [[nodiscard]] std::vector<std::pair<double, std::uint64_t>> centroids() const;
 
-  /// Serialization compresses first, so the written form is canonical:
-  /// save -> load -> save yields identical bytes.
+  /// Serialization compresses first. compress() regroups centroids
+  /// greedily and is not idempotent, so saving a saved (or compressed)
+  /// sketch again can write different centroids: to fold exactly what a
+  /// journal holds, fold the sketch after saving it (sim/fleet.cpp).
   void save_state(StateWriter& w) const;
   [[nodiscard]] Status load_state(StateReader& r);
 

@@ -1,12 +1,15 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/serialize.h"
@@ -129,12 +132,66 @@ double gini(std::span<const double> xs) {
 
 namespace {
 
+/// Sorts `xs` ascending with an LSD radix sort over the bytes of
+/// order-preserving keys: a double's bit pattern with the sign bit set, or
+/// with every bit flipped when the sign bit was set, orders as an unsigned
+/// integer exactly as the doubles do, with -0.0 before +0.0 (they compare
+/// equal, so std::sort may order them either way, and they sum alike). A
+/// byte that every key shares is skipped, so values of a few exponents pay
+/// only for the bytes that differ.
+void radix_sort(std::span<double> xs) {
+  const std::size_t n = xs.size();
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    std::sort(xs.begin(), xs.end());  // beyond the 32-bit digit counts
+    return;
+  }
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  const auto key = [](double x) {
+    const auto b = std::bit_cast<std::uint64_t>(x);
+    return (b & kSign) != 0 ? ~b : b | kSign;
+  };
+  const auto value = [](std::uint64_t k) {
+    return std::bit_cast<double>((k & kSign) != 0 ? k & ~kSign : ~k);
+  };
+
+  // Keys and the buffer each pass scatters into; counts[d][v] is how many
+  // keys have byte d equal to v.
+  const auto storage = std::make_unique_for_overwrite<std::uint64_t[]>(2 * n);
+  std::span<std::uint64_t> from(storage.get(), n);
+  std::span<std::uint64_t> to(storage.get() + n, n);
+  std::array<std::array<std::uint32_t, 256>, 8> counts{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t k = key(xs[i]);
+    from[i] = k;
+    // Written out: -O2 does not unroll a loop over the eight bytes, and
+    // the loop made a 256-value sort about a fifth slower.
+    ++counts[0][k & 0xFF];
+    ++counts[1][(k >> 8) & 0xFF];
+    ++counts[2][(k >> 16) & 0xFF];
+    ++counts[3][(k >> 24) & 0xFF];
+    ++counts[4][(k >> 32) & 0xFF];
+    ++counts[5][(k >> 40) & 0xFF];
+    ++counts[6][(k >> 48) & 0xFF];
+    ++counts[7][k >> 56];
+  }
+  for (std::size_t d = 0; d < 8; ++d) {
+    std::array<std::uint32_t, 256>& offset = counts[d];
+    const unsigned shift = 8 * static_cast<unsigned>(d);
+    if (offset[(from[0] >> shift) & 0xFF] == n) continue;  // shared byte
+    std::uint32_t sum = 0;
+    for (std::uint32_t& c : offset) sum += std::exchange(c, sum);
+    for (const std::uint64_t k : from) to[offset[(k >> shift) & 0xFF]++] = k;
+    std::swap(from, to);
+  }
+  for (std::size_t i = 0; i < n; ++i) xs[i] = value(from[i]);
+}
+
 /// Sorts `xs` ascending. Runs of bit-identical neighbours are collapsed to
 /// (value, length), the runs are sorted, and the sorted runs are written
 /// back: a sample that repeats few values, like a device whose lines share
 /// their region's wear, sorts a handful of runs instead of every element.
 /// When the runs would not shorten the work by half, the elements are
-/// sorted directly.
+/// radix-sorted directly.
 void sort_by_runs(std::span<double> xs) {
   const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   std::size_t count = 1;
@@ -142,7 +199,7 @@ void sort_by_runs(std::span<double> xs) {
     count += static_cast<std::size_t>(bits(xs[i]) != bits(xs[i - 1]));
   }
   if (2 * count > xs.size()) {
-    std::sort(xs.begin(), xs.end());
+    radix_sort(xs);
     return;
   }
 

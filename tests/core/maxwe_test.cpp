@@ -5,6 +5,9 @@
 #include <memory>
 #include <set>
 
+#include "util/rng.h"
+#include "util/serialize.h"
+
 namespace nvmsec {
 namespace {
 
@@ -213,6 +216,49 @@ TEST(MaxWeTest, ResetRestoresBootState) {
   EXPECT_EQ(m.asr_pool_remaining(), 16u);
   for (std::uint64_t i = 0; i < m.working_lines(); ++i) {
     EXPECT_EQ(m.resolve(i), m.working_line(i));
+  }
+}
+
+TEST(MaxWeTest, RebindMatchesAFreshInstanceOnEveryMap) {
+  // One instance rebound across three maps, worn between rebinds, must be
+  // the instance a fresh constructor builds on each map: same roles and
+  // pairing, and after the same wear-outs the same checkpoint bytes.
+  const DeviceGeometry geom = DeviceGeometry::scaled(512, 32);
+  const EnduranceModel model;
+  for (const SpareSelectionPolicy selection :
+       {SpareSelectionPolicy::kWeakPriority,
+        SpareSelectionPolicy::kRandomRegions}) {
+    MaxWeParams p = params();
+    p.selection = selection;
+    std::unique_ptr<MaxWe> rebound;
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      Rng map_rng(seed);
+      const auto map = std::make_shared<const EnduranceMap>(
+          EnduranceMap::from_model(geom, model, map_rng));
+      Rng unused(0);
+      if (rebound == nullptr) {
+        rebound = std::make_unique<MaxWe>(map, p);
+      } else {
+        ASSERT_TRUE(rebound->rebind(map, unused));
+      }
+      MaxWe fresh(map, p);
+      EXPECT_EQ(rebound->swr_regions(), fresh.swr_regions());
+      EXPECT_EQ(rebound->rwr_regions(), fresh.rwr_regions());
+      EXPECT_EQ(rebound->asr_regions(), fresh.asr_regions());
+      EXPECT_EQ(rebound->rmt().pairs(), fresh.rmt().pairs());
+      EXPECT_EQ(rebound->rmt().tags_set(), 0u);
+
+      // Wear out every working line once: RWR lines set wear-out tags, the
+      // rest draw on the ASR pool until it runs dry.
+      for (std::uint64_t i = 0; i < fresh.working_lines(); ++i) {
+        EXPECT_EQ(rebound->on_wear_out(i), fresh.on_wear_out(i));
+      }
+      StateWriter a, b;
+      rebound->save_state(a);
+      fresh.save_state(b);
+      EXPECT_EQ(a.buffer(), b.buffer()) << "seed " << seed;
+      EXPECT_GT(rebound->rmt().tags_set(), 0u);
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "obs/event_log.h"
+#include "obs/profiler.h"
 #include "sim/journal.h"
 #include "util/serialize.h"
 #include "util/stats.h"
@@ -92,6 +93,101 @@ TEST(FleetRunner, StopResumeProducesByteIdenticalResult) {
   EXPECT_TRUE(resumed.complete());
   EXPECT_EQ(fleet_result_json(spec, resumed), straight);
   std::filesystem::remove(ckpt);
+}
+
+TEST(FleetRunner, JournalDoesNotChangeTheResult) {
+  // Serializing a shard aggregate canonicalizes its sketches once more,
+  // and that can regroup centroids. A journaled campaign folds what it
+  // journaled, so an unjournaled one must fold the same record bytes. This
+  // population is one where the regrouping moves a quantile.
+  FleetSpec spec = small_spec();
+  spec.devices = 2000;
+  spec.seed_start = 2;
+  spec.shard_size = 256;
+  const std::string plain = fleet_result_json(spec, run_fleet(spec));
+
+  const std::string ckpt = temp_path("fleet_test_journal_identity.ckpt");
+  std::filesystem::remove(ckpt);
+  FleetOptions journaled;
+  journaled.checkpoint_path = ckpt;
+  EXPECT_EQ(fleet_result_json(spec, run_fleet(spec, journaled)), plain);
+  std::filesystem::remove(ckpt);
+}
+
+TEST(FleetRunner, ResumeWithGapsFoldsInShardOrder) {
+  // A journal written by jobs > 1 and then killed can hold shards with gaps
+  // between them. Resume folds them in shard order wherever they land:
+  // behind the running shards, or after the join when a gap never runs.
+  const FleetSpec spec = small_spec();  // 6 shards
+  const std::string full_path = temp_path("fleet_test_gaps_full.ckpt");
+  const std::string gaps_path = temp_path("fleet_test_gaps.ckpt");
+  std::filesystem::remove(full_path);
+  FleetOptions full;
+  full.checkpoint_path = full_path;
+  const std::string straight = fleet_result_json(spec, run_fleet(spec, full));
+  Result<std::vector<JournalRecord>> records =
+      Journal::replay(full_path, fleet_fingerprint(spec), "population spec");
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records.value().size(), 6u);
+
+  // Shards 1 and 3 journaled, 0, 2, 4 and 5 not.
+  const auto write_gapped_journal = [&] {
+    Journal journal;
+    ASSERT_TRUE(journal.open(gaps_path, fleet_fingerprint(spec), true).ok());
+    for (const JournalRecord& rec : records.value()) {
+      if (rec.key == 1 || rec.key == 3) {
+        ASSERT_TRUE(journal.append(rec.key, rec.payload).ok());
+      }
+    }
+  };
+
+  for (const std::size_t jobs : {1u, 3u}) {
+    write_gapped_journal();
+    FleetOptions resume;
+    resume.checkpoint_path = gaps_path;
+    resume.resume = true;
+    resume.jobs = jobs;
+    EXPECT_EQ(fleet_result_json(spec, run_fleet(spec, resume)), straight)
+        << "jobs " << jobs;
+  }
+
+  // Run only shard 0: shards 0 and 1 fold behind it, shard 3 after the
+  // join. The result is the records of 0, 1 and 3 merged in that order.
+  write_gapped_journal();
+  FleetOptions partial;
+  partial.checkpoint_path = gaps_path;
+  partial.resume = true;
+  partial.stop_after_shards = 1;
+  const FleetResult got = run_fleet(spec, partial);
+  FleetResult expected;
+  expected.shards_total = 6;
+  for (const JournalRecord& rec : records.value()) {
+    if (rec.key > 1 && rec.key != 3) continue;
+    FleetAggregate agg;
+    StateReader reader(rec.payload);
+    ASSERT_TRUE(agg.load_state(reader).ok());
+    expected.aggregate.merge(agg);
+    ++expected.shards_done;
+  }
+  expected.aggregate.compress();
+  EXPECT_EQ(got.shards_done, 3u);
+  EXPECT_EQ(fleet_result_json(spec, got), fleet_result_json(spec, expected));
+  std::filesystem::remove(full_path);
+  std::filesystem::remove(gaps_path);
+}
+
+TEST(FleetRunner, FoldsBeforeTheJoinAreProfiledAsFleetFold) {
+  const FleetSpec spec = small_spec();  // 6 shards
+  Profiler prof;
+  FleetOptions options;
+  options.profiler = &prof;
+  const FleetResult result = run_fleet(spec, options);
+  // At jobs 1 shards land in index order, so each one folds as it lands
+  // and the merge after the join only compresses.
+  EXPECT_EQ(prof.phase(ProfPhase::kFleetFold).count, result.shards_total);
+  EXPECT_EQ(prof.phase(ProfPhase::kFleetMerge).count, 1u);
+  EXPECT_EQ(prof_phase_name(ProfPhase::kFleetFold), "fleet.fold");
+  EXPECT_EQ(prof_phase_parent(ProfPhase::kFleetFold), ProfPhase::kFleetShard);
 }
 
 TEST(FleetRunner, ResumeRejectsForeignCheckpoint) {

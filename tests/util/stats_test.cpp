@@ -319,6 +319,37 @@ TEST(GiniTest, InPlaceMatchesSortedSumsOnSeededSamples) {
   }
 }
 
+TEST(GiniRadixTest, DistinctValuesWithSignedZerosSortExactly) {
+  // Mostly distinct values take the radix path. Values over forty binary
+  // orders of magnitude vary every key byte, and scattered +0.0 and -0.0
+  // must come back with their signs.
+  Rng rng(7);
+  for (const std::size_t n : {3u, 64u, 256u, 2048u, 65536u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<double> input(n);
+    for (double& x : input) {
+      const std::uint64_t kind = rng.uniform_u64(16);
+      const int exponent = static_cast<int>(rng.uniform_u64(40)) - 20;
+      x = kind == 0   ? 0.0
+          : kind == 1 ? -0.0
+                      : std::ldexp(rng.uniform_double(), exponent);
+    }
+    std::vector<double> xs = input;
+    const double got = gini_in_place(xs);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(reference_gini(input)));
+    std::vector<double> expected = input;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_TRUE(std::equal(xs.begin(), xs.end(), expected.begin()));
+    const auto negative_zeros = [](const std::vector<double>& v) {
+      return std::count_if(v.begin(), v.end(), [](double x) {
+        return x == 0.0 && std::signbit(x);
+      });
+    };
+    EXPECT_EQ(negative_zeros(xs), negative_zeros(input));
+  }
+}
+
 TEST(MaxMinRatioTest, DegenerateInputsAreBalanced) {
   EXPECT_DOUBLE_EQ(max_min_ratio(std::vector<double>{}), 1.0);
   EXPECT_DOUBLE_EQ(max_min_ratio(std::vector<double>{7.0}), 1.0);
