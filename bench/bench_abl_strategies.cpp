@@ -33,10 +33,11 @@ double lifetime_with(const MaxWeParams& params, double jitter_sigma,
   return sim.run().normalized;
 }
 
-double averaged(const MaxWeParams& params, double jitter, int seeds) {
+double averaged(const MaxWeParams& params, double jitter,
+                std::uint64_t seeds) {
   RunningStats stats;
-  for (int s = 0; s < seeds; ++s) {
-    stats.add(lifetime_with(params, jitter, 42 + static_cast<std::uint64_t>(s)));
+  for (std::uint64_t s = 0; s < seeds; ++s) {
+    stats.add(lifetime_with(params, jitter, 42 + s));
   }
   return stats.mean();
 }
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
   CliParser cli("Ablation: Max-WE design choices under UAA (10% spares)");
   cli.add_flag("seeds", "endurance-map draws to average", "3");
   if (!cli.parse(argc, argv)) return 0;
-  const int seeds = static_cast<int>(cli.get_int("seeds"));
+  const std::uint64_t seeds = cli.get_uint("seeds");
 
   Table strategies({"variant", "lifetime (%)"});
   strategies.set_title("Ablation 1/2 - allocation-strategy variants");

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   cli.add_flag("seeds", "endurance-map draws to average", "2");
   bench::add_jobs_flag(cli);
   if (!cli.parse(argc, argv)) return 0;
-  const int seeds = static_cast<int>(cli.get_int("seeds"));
+  const std::uint64_t seeds = cli.get_uint("seeds");
   const ParallelOptions jobs = bench::jobs_from_cli(cli);
 
   Table table({"exponent k (E ~ I^-k)", "unprotected (%)", "Max-WE (%)",

@@ -29,7 +29,7 @@ inline void add_jobs_flag(CliParser& cli) {
 /// Read --jobs back into ParallelOptions.
 inline ParallelOptions jobs_from_cli(const CliParser& cli) {
   ParallelOptions options;
-  options.jobs = static_cast<std::size_t>(cli.get_int("jobs"));
+  options.jobs = static_cast<std::size_t>(cli.get_uint("jobs"));
   return options;
 }
 
@@ -40,7 +40,6 @@ inline ParallelOptions jobs_from_cli(const CliParser& cli) {
 /// included — is bit-identical at any job count.
 struct SeedSweepStats {
   StreamSummary summary;
-  int seeds{0};
 
   [[nodiscard]] double mean() const { return summary.mean(); }
   [[nodiscard]] double stddev() const { return summary.stddev(); }
@@ -54,24 +53,20 @@ struct SeedSweepStats {
 /// Run `seeds` experiments (base_seed, base_seed+1, ...) and reduce in seed
 /// order.
 inline SeedSweepStats lifetime_over_seeds(
-    ExperimentConfig config, int seeds, std::uint64_t base_seed = 42,
+    ExperimentConfig config, std::uint64_t seeds, std::uint64_t base_seed = 42,
     const ParallelOptions& options = {}) {
-  std::vector<ExperimentConfig> configs(static_cast<std::size_t>(seeds),
-                                        config);
-  for (int s = 0; s < seeds; ++s) {
-    configs[static_cast<std::size_t>(s)].seed =
-        base_seed + static_cast<std::uint64_t>(s);
-  }
+  std::vector<ExperimentConfig> configs(seeds, config);
+  for (std::uint64_t s = 0; s < seeds; ++s) configs[s].seed = base_seed + s;
   const std::vector<LifetimeResult> results =
       run_experiments(configs, options);
   SeedSweepStats stats;
-  stats.seeds = seeds;
   for (const LifetimeResult& r : results) stats.summary.add(r.normalized);
   return stats;
 }
 
 /// Average a lifetime experiment over `seeds` seeds starting at base_seed.
-inline double mean_normalized_lifetime(ExperimentConfig config, int seeds,
+inline double mean_normalized_lifetime(ExperimentConfig config,
+                                       std::uint64_t seeds,
                                        std::uint64_t base_seed = 42,
                                        const ParallelOptions& options = {}) {
   return lifetime_over_seeds(config, seeds, base_seed, options).mean();

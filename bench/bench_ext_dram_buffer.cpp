@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
   cli.add_flag("lines", "device size in lines", "2048");
   cli.add_flag("regions", "region count", "128");
   if (!cli.parse(argc, argv)) return 0;
-  const auto lines = static_cast<std::uint64_t>(cli.get_int("lines"));
-  const auto regions = static_cast<std::uint64_t>(cli.get_int("regions"));
+  const std::uint64_t lines = cli.get_uint("lines");
+  const std::uint64_t regions = cli.get_uint("regions");
 
   Table table({"attack", "buffer (lines)", "absorbed (%)",
                "device lifetime used (%)"});

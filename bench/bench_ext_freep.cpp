@@ -22,13 +22,13 @@ int main(int argc, char** argv) {
   CliParser cli("Extension: FREE-p vs Max-WE, lifetime and latency");
   cli.add_flag("seeds", "endurance-map draws to average", "3");
   if (!cli.parse(argc, argv)) return 0;
-  const int seeds = static_cast<int>(cli.get_int("seeds"));
+  const std::uint64_t seeds = cli.get_uint("seeds");
 
   const DeviceGeometry geometry = DeviceGeometry::paper_1gb();
   double freep_lifetime = 0, maxwe_lifetime = 0, freep_hops = 0;
   double freep_max_chain = 0;
-  for (int s = 0; s < seeds; ++s) {
-    Rng rng(42 + static_cast<std::uint64_t>(s));
+  for (std::uint64_t s = 0; s < seeds; ++s) {
+    Rng rng(42 + s);
     const EnduranceModel model;
     auto map = std::make_shared<EnduranceMap>(
         EnduranceMap::from_model(geometry, model, rng));
@@ -45,9 +45,9 @@ int main(int argc, char** argv) {
     UniformEventSimulator sim_maxwe(map, *maxwe);
     maxwe_lifetime += sim_maxwe.run().normalized;
   }
-  freep_lifetime /= seeds;
-  maxwe_lifetime /= seeds;
-  freep_hops /= seeds;
+  freep_lifetime /= static_cast<double>(seeds);
+  maxwe_lifetime /= static_cast<double>(seeds);
+  freep_hops /= static_cast<double>(seeds);
 
   const LatencyModelParams latency;
   const TranslationLatency maxwe_lat = table_translation_latency(latency);

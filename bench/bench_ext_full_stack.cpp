@@ -9,17 +9,12 @@
 // needle against a uniform attack?
 
 #include <iostream>
-#include <memory>
 
-#include "core/maxwe.h"
-#include "sim/bit_engine.h"
+#include "sim/experiment.h"
 #include "util/cli.h"
 #include "util/table.h"
-#include "wearlevel/none.h"
 
 namespace {
-
-using namespace nvmsec;
 
 struct RunSpec {
   const char* label;
@@ -29,45 +24,23 @@ struct RunSpec {
   bool maxwe;
 };
 
-double run_spec(const RunSpec& spec, std::uint64_t lines,
-                std::uint64_t regions, double endurance_mean,
-                std::uint64_t seed) {
-  Rng setup(seed);
-  EnduranceModelParams ep;
-  ep.endurance_at_mean = endurance_mean;
-  const EnduranceModel model(ep);
-  auto map = std::make_shared<EnduranceMap>(
-      EnduranceMap::from_model(DeviceGeometry::scaled(lines, regions), model,
-                               setup));
-  BitDeviceParams dp;
-  dp.ecp_entries = spec.ecp;
-  Rng rng(seed + 1);
-  BitDevice device(map, dp, rng);
-  auto attack = make_uaa();
-  auto payload = make_payload(spec.payload);
-  auto codec = make_codec(spec.codec);
-  std::unique_ptr<SpareScheme> spare;
-  if (spec.maxwe) {
-    spare = make_maxwe(map, MaxWeParams{});
-  } else {
-    spare = make_no_spare(map);
-  }
-  NoWearLeveling wl(spare->working_lines());
-  BitEngine engine(device, *attack, *payload, *codec, wl, *spare, rng);
-  return engine.run().normalized;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  using namespace nvmsec;
   CliParser cli("Extension: composed defenses under UAA (cell-granular)");
   cli.add_flag("lines", "device size in lines", "1024");
   cli.add_flag("regions", "region count", "64");
   cli.add_flag("endurance", "mean line endurance (scaled)", "1000");
   if (!cli.parse(argc, argv)) return 0;
-  const auto lines = static_cast<std::uint64_t>(cli.get_int("lines"));
-  const auto regions = static_cast<std::uint64_t>(cli.get_int("regions"));
-  const double endurance = cli.get_double("endurance");
+
+  ExperimentConfig config;
+  config.mode = SimulationMode::kBitLevel;
+  config.geometry =
+      DeviceGeometry::scaled(cli.get_uint("lines"), cli.get_uint("regions"));
+  config.endurance.endurance_at_mean = cli.get_double("endurance");
+  config.attack = "uaa";
+  config.wear_leveler = "none";
 
   const RunSpec specs[] = {
       {"baseline (full write)", "random", "full", 0, false},
@@ -86,8 +59,11 @@ int main(int argc, char** argv) {
       "write-reducing codecs beat the full-stress reference)");
   table.set_precision(1);
   for (const RunSpec& spec : specs) {
-    const double lifetime =
-        run_spec(spec, lines, regions, endurance, /*seed=*/42);
+    config.payload = spec.payload;
+    config.codec = spec.codec;
+    config.ecp_entries = spec.ecp;
+    config.spare_scheme = spec.maxwe ? "maxwe" : "none";
+    const double lifetime = run_experiment(config).normalized;
     table.add_row({Cell{std::string{spec.label}}, Cell{100.0 * lifetime}});
   }
   table.print(std::cout);

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   cli.add_flag("lines", "device size in lines", "65536");
   cli.add_flag("regions", "region count", "512");
   if (!cli.parse(argc, argv)) return 0;
-  const int draws = static_cast<int>(cli.get_int("draws"));
+  const std::uint64_t draws = cli.get_uint("draws");
 
   Table table({"scheme", "p5 (%)", "median (%)", "p95 (%)", "mean (%)",
                "rel. spread (p95-p5)/median"});
@@ -33,17 +33,16 @@ int main(int argc, char** argv) {
 
   for (const std::string scheme : {"none", "ps-worst", "pcd", "maxwe"}) {
     std::vector<double> lifetimes;
-    lifetimes.reserve(static_cast<std::size_t>(draws));
-    for (int d = 0; d < draws; ++d) {
+    lifetimes.reserve(draws);
+    for (std::uint64_t d = 0; d < draws; ++d) {
       ExperimentConfig c;
-      c.geometry = DeviceGeometry::scaled(
-          static_cast<std::uint64_t>(cli.get_int("lines")),
-          static_cast<std::uint64_t>(cli.get_int("regions")));
+      c.geometry = DeviceGeometry::scaled(cli.get_uint("lines"),
+                                          cli.get_uint("regions"));
       c.endurance.endurance_at_mean = 1e6;
       c.spare_fraction = 0.10;
       c.spare_scheme = c.spare_lines() == 0 ? "none" : scheme;
       if (scheme == "none") c.spare_scheme = "none";
-      c.seed = 1000 + static_cast<std::uint64_t>(d);
+      c.seed = 1000 + d;
       lifetimes.push_back(100.0 * run_experiment(c).normalized);
     }
     const double p5 = percentile(lifetimes, 5);

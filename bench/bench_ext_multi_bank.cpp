@@ -9,8 +9,7 @@
 
 #include <iostream>
 
-#include "sim/parallel.h"
-#include "util/cli.h"
+#include "bench_common.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -18,12 +17,9 @@ int main(int argc, char** argv) {
   CliParser cli("Extension: module lifetime vs bank count under UAA");
   cli.add_flag("lines", "lines per bank", "65536");
   cli.add_flag("regions", "regions per bank", "512");
-  cli.add_flag("jobs",
-               "worker threads (0 = all cores, 1 = the calling thread only)",
-               "0");
+  bench::add_jobs_flag(cli);
   if (!cli.parse(argc, argv)) return 0;
-  ParallelOptions jobs;
-  jobs.jobs = static_cast<std::size_t>(cli.get_int("jobs"));
+  const ParallelOptions jobs = bench::jobs_from_cli(cli);
 
   Table table({"banks", "unprotected system (%)", "Max-WE system (%)",
                "Max-WE mean bank (%)", "Max-WE advantage"});
@@ -33,9 +29,8 @@ int main(int argc, char** argv) {
 
   for (std::uint32_t banks : {1u, 2u, 4u, 8u, 16u}) {
     ExperimentConfig c;
-    c.geometry = DeviceGeometry::scaled(
-        static_cast<std::uint64_t>(cli.get_int("lines")),
-        static_cast<std::uint64_t>(cli.get_int("regions")));
+    c.geometry =
+        DeviceGeometry::scaled(cli.get_uint("lines"), cli.get_uint("regions"));
     c.endurance.endurance_at_mean = 1e6;
     c.seed = 42;
 

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   cli.add_switch("histogram", "print the endurance distribution (the red "
                               "curve of Fig. 1)");
   if (!cli.parse(argc, argv)) return 0;
-  const int seeds = static_cast<int>(cli.get_int("seeds"));
+  const std::uint64_t seeds = cli.get_uint("seeds");
 
   ExperimentConfig config;  // paper 1 GB geometry, UAA, event engine
   config.spare_scheme = "none";
@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
       "1 GB / 2048-region bank");
 
   RunningStats measured;
-  for (int s = 0; s < seeds; ++s) {
-    config.seed = 42 + static_cast<std::uint64_t>(s);
+  for (std::uint64_t s = 0; s < seeds; ++s) {
+    config.seed = 42 + s;
     const LifetimeResult r = run_experiment(config);
     measured.add(r.normalized);
 

@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   const auto surface = fig5_surface(
-      0.1, 0.3, static_cast<std::uint32_t>(cli.get_int("p-steps")), 10.0,
-      100.0, static_cast<std::uint32_t>(cli.get_int("q-steps")));
+      0.1, 0.3, static_cast<std::uint32_t>(cli.get_uint("p-steps")), 10.0,
+      100.0, static_cast<std::uint32_t>(cli.get_uint("q-steps")));
 
   Table table({"p = S/N", "q = EH/EL", "Max-WE", "PCD/PS", "PS-worst"});
   table.set_title(

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   cli.add_switch("csv", "emit CSV instead of the ASCII table");
   bench::add_jobs_flag(cli);
   if (!cli.parse(argc, argv)) return 0;
-  const int seeds = static_cast<int>(cli.get_int("seeds"));
+  const std::uint64_t seeds = cli.get_uint("seeds");
   const ParallelOptions jobs = bench::jobs_from_cli(cli);
 
   const double paper[] = {4.1, 14.0, 43.1, 57.9, 74.1, 86.9, 87.4};

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   cli.add_flag("endurance", "mean endurance (scaled)", "50000");
   bench::add_jobs_flag(cli);
   if (!cli.parse(argc, argv)) return 0;
-  const int seeds = static_cast<int>(cli.get_int("seeds"));
+  const std::uint64_t seeds = cli.get_uint("seeds");
   const ParallelOptions jobs = bench::jobs_from_cli(cli);
 
   const double swr_shares[] = {0.0, 0.2, 0.6, 0.8, 0.9, 1.0};
@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
     std::vector<Cell> row{Cell{100.0 * q}};
     for (const std::string& wl : paper_wear_levelers()) {
       ExperimentConfig config = scaled_stochastic_config(
-          static_cast<std::uint64_t>(cli.get_int("lines")),
-          static_cast<std::uint64_t>(cli.get_int("regions")),
+          cli.get_uint("lines"), cli.get_uint("regions"),
           cli.get_double("endurance"));
       config.attack = "bpa";
       config.wear_leveler = wl;

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   cli.add_flag("spare", "spare fraction of total capacity", "0.10");
   bench::add_jobs_flag(cli);
   if (!cli.parse(argc, argv)) return 0;
-  const int seeds = static_cast<int>(cli.get_int("seeds"));
+  const std::uint64_t seeds = cli.get_uint("seeds");
   const double spare = cli.get_double("spare");
   const ParallelOptions jobs = bench::jobs_from_cli(cli);
 

@@ -26,10 +26,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto lines = static_cast<std::uint64_t>(cli.get_int("lines"));
-  const auto regions = static_cast<std::uint64_t>(cli.get_int("regions"));
+  const std::uint64_t lines = cli.get_uint("lines");
+  const std::uint64_t regions = cli.get_uint("regions");
   const double endurance = cli.get_double("endurance");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const std::uint64_t seed = cli.get_uint("seed");
 
   for (const std::string spare : {"none", "maxwe"}) {
     Table table({"wear leveler", "zipf (benign)", "hotspot", "bpa", "uaa"});

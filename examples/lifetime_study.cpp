@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << "\n";
     return 1;
   }
-  const int seeds = static_cast<int>(cli.get_int("seeds"));
+  const std::uint64_t seeds = cli.get_uint("seeds");
   const bool stochastic = cli.get_string("mode") == "stochastic";
 
   Table table({"spare_fraction", "maxwe", "pcd", "ps", "ps_worst"});
@@ -35,12 +35,11 @@ int main(int argc, char** argv) {
     row.emplace_back(p);
     for (const std::string scheme : {"maxwe", "pcd", "ps", "ps-worst"}) {
       double acc = 0;
-      for (int s = 0; s < seeds; ++s) {
+      for (std::uint64_t s = 0; s < seeds; ++s) {
         ExperimentConfig c;
         if (stochastic) {
-          c = scaled_stochastic_config(
-              static_cast<std::uint64_t>(cli.get_int("lines")),
-              static_cast<std::uint64_t>(cli.get_int("regions")), 5e4);
+          c = scaled_stochastic_config(cli.get_uint("lines"),
+                                       cli.get_uint("regions"), 5e4);
         }
         c.attack = cli.get_string("attack");
         if (c.attack != "uaa" && !stochastic) {
@@ -49,10 +48,10 @@ int main(int argc, char** argv) {
         }
         c.spare_fraction = p;
         c.spare_scheme = scheme;
-        c.seed = 42 + static_cast<std::uint64_t>(s);
+        c.seed = 42 + s;
         acc += run_experiment(c).normalized;
       }
-      const double pct = 100.0 * acc / seeds;
+      const double pct = 100.0 * acc / static_cast<double>(seeds);
       row.emplace_back(pct);
     }
     table.add_row(std::move(row));

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   }
 
   ExperimentConfig config;  // defaults: paper 1 GB geometry, UAA, event mode
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  config.seed = cli.get_uint("seed");
 
   config.spare_scheme = "none";
   const LifetimeResult unprotected = run_experiment(config);

@@ -26,7 +26,7 @@ namespace nvmsec {
 /// whose sampling contracts are incompatible.
 enum class BatchContract : std::uint8_t {
   /// Batched runs replay the per-write stream exactly: same addresses, same
-  /// order, same RNG consumption (UAA sweeps, BPA bursts, traces). Fastpath
+  /// order, same RNG consumption (UAA sweeps, BPA bursts). Fastpath
   /// and per-write runs are byte-identical end to end.
   kBitIdentical = 0,
   /// next_counts() emits deterministically the same per-line write totals

@@ -38,9 +38,7 @@ const char* batch_contract_name(BatchContract contract) {
 }
 
 BatchContract attack_batch_contract(const std::string& name) {
-  if (name == "uaa" || name == "bpa" || name == "trace") {
-    return BatchContract::kBitIdentical;
-  }
+  if (name == "uaa" || name == "bpa") return BatchContract::kBitIdentical;
   if (name == "hotspot") return BatchContract::kMultisetExact;
   if (name == "random" || name == "zipf") {
     return BatchContract::kDistributionEquivalent;

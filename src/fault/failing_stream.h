@@ -3,10 +3,9 @@
 // Wrap any std::streambuf (usually a stringbuf) and every read or write
 // past `fail_after` bytes fails the way a full disk or a truncated pipe
 // does: writes return EOF (which puts badbit on the owning ostream), reads
-// hit EOF early. Used by the error-path tests for nvm/endurance_io,
-// attack/trace, obs sinks, and the checkpoint writer — the readers and
-// writers must turn these failures into structured errors, never into
-// partial silently-accepted files.
+// hit EOF early. Used by the error-path tests for the endurance-map CSV
+// reader (nvm/endurance_io), which must turn these failures into
+// structured errors, never into a partial silently-accepted map.
 #pragma once
 
 #include <cstddef>

@@ -36,6 +36,11 @@ DeviceGeometry DeviceGeometry::paper_1gb() {
 
 DeviceGeometry DeviceGeometry::scaled(std::uint64_t num_lines,
                                       std::uint64_t num_regions) {
+  if (num_lines > UINT64_MAX / 256) {
+    throw std::invalid_argument(
+        "DeviceGeometry: " + std::to_string(num_lines) +
+        " lines of 256 B overflow a 64-bit byte count");
+  }
   return DeviceGeometry(num_lines * 256, 256, num_regions);
 }
 

@@ -23,7 +23,8 @@ class DeviceGeometry {
   static DeviceGeometry paper_1gb();
 
   /// A small configuration for stochastic simulation / tests: `num_lines`
-  /// lines of 256 B grouped into `num_regions` regions.
+  /// lines of 256 B grouped into `num_regions` regions. Throws
+  /// std::invalid_argument when the byte count would overflow 64 bits.
   static DeviceGeometry scaled(std::uint64_t num_lines,
                                std::uint64_t num_regions);
 

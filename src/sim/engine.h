@@ -49,7 +49,7 @@ class Engine {
   /// horizon (and before the next checkpoint / snapshot / fault boundary)
   /// becomes one entry per address instead of one on_write() per write.
   /// The equivalence guarantee is the attack's declared BatchContract: for
-  /// bit-identical attacks (UAA, BPA, traces) fastpath runs match the
+  /// bit-identical attacks (UAA, BPA) fastpath runs match the
   /// per-write reference exactly — same LifetimeResult, RNG stream,
   /// event-log bytes, checkpoint payloads. Stochastic attacks (zipf,
   /// random; hotspot with a multi-line working set) additionally take

@@ -26,6 +26,24 @@
 
 namespace nvmsec {
 
+const char* simulation_mode_name(SimulationMode mode) {
+  switch (mode) {
+    case SimulationMode::kStochastic: return "stochastic";
+    case SimulationMode::kUniformEvent: return "event";
+    case SimulationMode::kBitLevel: return "bit";
+  }
+  return "unknown";
+}
+
+std::optional<SimulationMode> parse_simulation_mode(std::string_view name) {
+  for (const SimulationMode mode :
+       {SimulationMode::kStochastic, SimulationMode::kUniformEvent,
+        SimulationMode::kBitLevel}) {
+    if (name == simulation_mode_name(mode)) return mode;
+  }
+  return std::nullopt;
+}
+
 std::uint64_t ExperimentConfig::spare_lines() const {
   const auto spare_regions = static_cast<std::uint64_t>(std::llround(
       spare_fraction * static_cast<double>(geometry.num_regions())));
@@ -180,19 +198,6 @@ std::uint64_t config_fingerprint(const ExperimentConfig& config) {
 ExperimentWorkspace::ExperimentWorkspace() = default;
 ExperimentWorkspace::~ExperimentWorkspace() = default;
 
-namespace {
-
-const char* mode_name(SimulationMode mode) {
-  switch (mode) {
-    case SimulationMode::kStochastic: return "stochastic";
-    case SimulationMode::kUniformEvent: return "event";
-    case SimulationMode::kBitLevel: return "bit";
-  }
-  return "unknown";
-}
-
-}  // namespace
-
 std::shared_ptr<const EnduranceMap> ExperimentWorkspace::acquire_map(
     const ExperimentConfig& config, Rng& rng) {
   const EnduranceModel model(config.endurance);
@@ -270,7 +275,7 @@ LifetimeResult run_experiment(const ExperimentConfig& config,
     config.observer.events->set_now(0.0);
     config.observer.events->emit(
         "run_start",
-        {{"mode", mode_name(config.mode)},
+        {{"mode", simulation_mode_name(config.mode)},
          {"attack", config.attack},
          {"wear_leveler", config.wear_leveler},
          {"spare", config.spare_scheme},

@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "detect/detector.h"
 #include "fault/fault_plan.h"
@@ -39,6 +40,13 @@ enum class SimulationMode {
   /// payload model, a write codec and per-line ECP (scaled devices only).
   kBitLevel,
 };
+
+/// The mode's `--mode` spelling ("stochastic", "event", "bit"), as the
+/// run_start event and the fleet result JSON record it.
+const char* simulation_mode_name(SimulationMode mode);
+
+/// Inverse of simulation_mode_name; nullopt for any other name.
+std::optional<SimulationMode> parse_simulation_mode(std::string_view name);
 
 struct ExperimentConfig {
   DeviceGeometry geometry{DeviceGeometry::paper_1gb()};

@@ -671,18 +671,6 @@ void append_exemplars(std::string& out, std::string_view key,
   out += ']';
 }
 
-const char* mode_name(SimulationMode mode) {
-  switch (mode) {
-    case SimulationMode::kStochastic:
-      return "stochastic";
-    case SimulationMode::kUniformEvent:
-      return "event";
-    case SimulationMode::kBitLevel:
-      return "bit";
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 std::string fleet_result_json(const FleetSpec& spec,
@@ -696,7 +684,7 @@ std::string fleet_result_json(const FleetSpec& spec,
   out += R"(,"shard_size":)";
   json_append_number(out, static_cast<double>(spec.shard_size));
   out += R"(,"mode":)";
-  json_append_string(out, mode_name(spec.base.mode));
+  json_append_string(out, simulation_mode_name(spec.base.mode));
   out += R"(,"attack":)";
   json_append_string(out, spec.base.attack);
   out += R"(,"attack_phases":)";

@@ -28,6 +28,16 @@ TEST(GeometryTest, InvalidConfigurations) {
   EXPECT_THROW(DeviceGeometry(1024, 256, 3), std::invalid_argument);  // lines
 }
 
+TEST(GeometryTest, ScaledRejectsByteCountOverflow) {
+  // 2^56 + 1 lines of 256 B wrap a 64-bit byte count to 256 B: one line.
+  constexpr std::uint64_t kMaxLines = UINT64_MAX / 256;
+  EXPECT_THROW(DeviceGeometry::scaled(kMaxLines + 1, 1), std::invalid_argument);
+  EXPECT_THROW(DeviceGeometry::scaled(UINT64_MAX, 1), std::invalid_argument);
+  const DeviceGeometry largest = DeviceGeometry::scaled(kMaxLines, 1);
+  EXPECT_EQ(largest.num_lines(), kMaxLines);
+  EXPECT_EQ(largest.total_bytes(), kMaxLines * 256);
+}
+
 TEST(GeometryTest, RegionAndOffsetRoundTrip) {
   const DeviceGeometry g = DeviceGeometry::scaled(256, 16);  // 16 lines/region
   for (std::uint64_t l = 0; l < g.num_lines(); ++l) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_common.h"
+
 namespace nvmsec {
 namespace {
 
@@ -123,6 +125,21 @@ TEST(CliTest, UsageMentionsFlagsAndHelp) {
   EXPECT_NE(usage.find("my description"), std::string::npos);
   EXPECT_NE(usage.find("--alpha"), std::string::npos);
   EXPECT_NE(usage.find("the alpha flag"), std::string::npos);
+}
+
+TEST(CliTest, BenchJobsFlagRefusesNegativeCounts) {
+  // A signed read of --jobs -1 wrapped to SIZE_MAX: one thread per run.
+  CliParser cli("test");
+  bench::add_jobs_flag(cli);
+  auto args = argv_of({"--jobs", "-1"});
+  ASSERT_TRUE(cli.parse(static_cast<int>(args.size()), args.data()));
+  try {
+    (void)bench::jobs_from_cli(cli);
+    FAIL() << "--jobs -1 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "flag --jobs: must be a non-negative integer: '-1'");
+  }
 }
 
 TEST(CliTest, UnregisteredGetterThrows) {

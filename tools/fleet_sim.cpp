@@ -23,6 +23,7 @@
 #include <memory>
 #include <sstream>
 
+#include "experiment_flags.h"
 #include "obs/heartbeat.h"
 #include "obs/profiler.h"
 #include "sim/fleet.h"
@@ -67,74 +68,11 @@ int main(int argc, char** argv) {
   cli.add_flag("jobs",
                "worker threads (0 = all cores, 1 = the calling thread only)",
                "1");
-  cli.add_flag("mode", "event | stochastic | bit", "event");
-  cli.add_flag("lines", "device size in lines (0 = paper 1 GB geometry)",
-               "2048");
-  cli.add_flag("regions", "region count (with --lines)", "128");
-  cli.add_flag("endurance-mean", "endurance at mean current", "1000");
-  cli.add_flag("endurance-exponent", "power-law exponent k (E ~ I^-k)", "8");
-  cli.add_flag("jitter", "intra-region lognormal endurance jitter sigma",
-               "0");
-  cli.add_flag("attack", "uaa | bpa | hotspot | random | zipf | mixed",
-               "uaa");
-  cli.add_flag("attack-phases",
-               "mixed-attack phase schedule 'name:writes,...' (k/m/g "
-               "suffixes; writes 0 = terminal unbounded last phase, a "
-               "bounded last phase cycles). Implies --attack mixed; "
-               "stochastic mode only", "");
-  cli.add_flag("attack-onset",
-               "shorthand for --attack-phases 'zipf:N,uaa:0': benign zipf "
-               "traffic for N writes, then a UAA that runs to failure "
-               "(0 = off)", "0");
+  add_experiment_flags(cli, "2048", "1000");
   cli.add_flag("attack-mix",
                "weighted population mix, e.g. 'zipf:0.8,bpa:0.2' "
                "(overrides --attack; per-device pick is a stateless hash, "
                "independent of sharding)", "");
-  cli.add_flag("bpa-burst", "BPA burst length", "1024");
-  cli.add_flag("zipf-skew", "zipf skew s", "0.99");
-  cli.add_flag("hotspot-set", "hotspot working-set lines (>= 1)", "1");
-  cli.add_switch("detect",
-                 "per-device online attack detector (stochastic mode); "
-                 "alarm stats stream into the population aggregate");
-  cli.add_flag("detect-window",
-               "detector window size in user writes", "16384");
-  cli.add_switch("adaptive",
-                 "self-tuning defense (needs --detect and a wear leveler): "
-                 "retune the remap cadence from the alarm signal");
-  cli.add_flag("adaptive-factor",
-               "cadence multiplier per escalation step (> 1)", "2.0");
-  cli.add_flag("adaptive-max-steps",
-               "escalation bound in steps either direction", "3");
-  cli.add_flag("wl", "none|startgap|tlsr|pcms|bwl|wawl|twl", "none");
-  cli.add_flag("swap-interval", "wear-leveler remap cadence", "100");
-  cli.add_flag("spare", "none | pcd | ps | ps-worst | freep | maxwe",
-               "none");
-  cli.add_flag("spare-fraction", "spare share of capacity", "0.10");
-  cli.add_flag("swr-fraction", "Max-WE SWR share of spares", "0.90");
-  cli.add_flag("max-writes", "stochastic: user-write cap per device "
-                             "(0 = run to failure)", "0");
-  cli.add_switch("no-fastpath",
-                 "disable the batched fast path (stochastic mode). "
-                 "Bit-identical either way for uaa/bpa populations; "
-                 "distribution-equivalent for random/zipf (multiset-exact "
-                 "for hotspot) — the campaign fingerprint then refuses "
-                 "cross-mode --resume");
-  cli.add_flag("payload", "bit mode: random|constant|fnw-adversarial|"
-                          "complement", "random");
-  cli.add_flag("codec", "bit mode: full|differential|fnw", "differential");
-  cli.add_flag("ecp", "bit mode: ECP entries per line", "0");
-  cli.add_flag("fault-stuck-at",
-               "device fault: lines that die on their first write", "0");
-  cli.add_flag("fault-early-death",
-               "device fault: lines with a fraction of mapped endurance",
-               "0");
-  cli.add_flag("fault-early-death-fraction",
-               "remaining endurance fraction for early-death lines", "0.01");
-  cli.add_flag("fault-outlier-regions",
-               "device fault: regions with scaled true endurance", "0");
-  cli.add_flag("fault-outlier-factor",
-               "endurance scale factor for outlier regions", "0.25");
-  cli.add_flag("fault-seed", "fault-injection RNG seed", "99540903");
   cli.add_flag("event-log-cap",
                "per-device in-memory event cap; beyond it the failure "
                "cause falls back to the result classification", "65536");
@@ -178,64 +116,7 @@ int main(int argc, char** argv) {
     spec.event_log_max_events = cli.get_uint("event-log-cap");
     spec.attack_mix = parse_attack_mix(cli.get_string("attack-mix"));
 
-    ExperimentConfig& base = spec.base;
-    const std::uint64_t lines = cli.get_uint("lines");
-    if (lines > 0) {
-      base.geometry = DeviceGeometry::scaled(lines, cli.get_uint("regions"));
-    }
-    base.endurance.endurance_at_mean = cli.get_double("endurance-mean");
-    base.endurance.endurance_exponent = cli.get_double("endurance-exponent");
-    base.line_jitter_sigma = cli.get_double("jitter");
-    base.attack = cli.get_string("attack");
-    base.mixed_phases = cli.get_string("attack-phases");
-    const std::uint64_t attack_onset = cli.get_uint("attack-onset");
-    if (attack_onset > 0) {
-      if (!base.mixed_phases.empty()) {
-        std::cerr << "error: --attack-onset and --attack-phases are two "
-                     "spellings of the same schedule; pick one\n";
-        return 1;
-      }
-      base.mixed_phases = "zipf:" + std::to_string(attack_onset) + ",uaa:0";
-    }
-    if (!base.mixed_phases.empty()) base.attack = "mixed";
-    base.bpa_burst = cli.get_uint("bpa-burst");
-    base.zipf_skew = cli.get_double("zipf-skew");
-    base.hotspot_working_set = cli.get_uint("hotspot-set");
-    base.detect = cli.get_bool("detect");
-    base.detector.window_writes = cli.get_uint("detect-window");
-    base.adaptive = cli.get_bool("adaptive");
-    base.adaptive_policy.escalate_factor = cli.get_double("adaptive-factor");
-    base.adaptive_policy.max_steps =
-        static_cast<std::uint32_t>(cli.get_uint("adaptive-max-steps"));
-    base.wear_leveler = cli.get_string("wl");
-    base.wl.swap_interval = cli.get_uint("swap-interval");
-    base.spare_scheme = cli.get_string("spare");
-    base.spare_fraction = cli.get_double("spare-fraction");
-    base.swr_fraction = cli.get_double("swr-fraction");
-    base.max_user_writes = cli.get_uint("max-writes");
-    base.fastpath = !cli.get_bool("no-fastpath");
-    base.fault.device.stuck_at_lines = cli.get_uint("fault-stuck-at");
-    base.fault.device.early_death_lines = cli.get_uint("fault-early-death");
-    base.fault.device.early_death_fraction =
-        cli.get_double("fault-early-death-fraction");
-    base.fault.device.outlier_regions =
-        cli.get_uint("fault-outlier-regions");
-    base.fault.device.outlier_factor = cli.get_double("fault-outlier-factor");
-    base.fault.seed = cli.get_uint("fault-seed");
-    const std::string mode = cli.get_string("mode");
-    if (mode == "stochastic") {
-      base.mode = SimulationMode::kStochastic;
-    } else if (mode == "bit") {
-      base.mode = SimulationMode::kBitLevel;
-      base.payload = cli.get_string("payload");
-      base.codec = cli.get_string("codec");
-      base.ecp_entries = static_cast<std::uint32_t>(cli.get_uint("ecp"));
-    } else if (mode == "event") {
-      base.mode = SimulationMode::kUniformEvent;
-    } else {
-      std::cerr << "error: unknown --mode '" << mode << "'\n";
-      return 1;
-    }
+    apply_experiment_flags(cli, spec.base);
 
     FleetOptions options;
     options.jobs = static_cast<std::size_t>(cli.get_uint("jobs"));

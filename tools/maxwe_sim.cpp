@@ -19,6 +19,7 @@
 #include <memory>
 #include <utility>
 
+#include "experiment_flags.h"
 #include "nvm/endurance_io.h"
 #include "obs/session.h"
 #include "sim/event_sim.h"
@@ -60,58 +61,8 @@ int main(int argc, char** argv) {
 
   CliParser cli(
       "maxwe-sim: NVM lifetime simulator (Max-WE / DAC'19 reproduction)");
-  cli.add_flag("mode", "event (stationary-rate attacks: uaa/hotspot/"
-               "random/zipf, exact, full-scale), stochastic, or bit "
-                       "(cell-granular with payload/codec/ECP)",
-               "event");
-  cli.add_flag("payload", "bit mode: random|constant|fnw-adversarial|"
-                          "complement", "random");
-  cli.add_flag("codec", "bit mode: full|differential|fnw", "differential");
-  cli.add_flag("ecp", "bit mode: ECP entries per line", "0");
-  cli.add_flag("lines", "device size in lines (0 = paper 1 GB geometry)",
-               "0");
-  cli.add_flag("regions", "region count (with --lines)", "128");
-  cli.add_flag("endurance-mean", "endurance at mean current", "1e8");
-  cli.add_flag("endurance-exponent", "power-law exponent k (E ~ I^-k)", "8");
-  cli.add_flag("jitter", "intra-region lognormal endurance jitter sigma",
-               "0");
-  cli.add_flag("attack", "uaa | bpa | hotspot | random | zipf | mixed",
-               "uaa");
-  cli.add_flag("attack-phases",
-               "mixed-attack phase schedule 'name:writes,...' (k/m/g "
-               "suffixes; writes 0 = terminal unbounded last phase, a "
-               "bounded last phase cycles). Implies --attack mixed; "
-               "stochastic mode only", "");
-  cli.add_flag("attack-onset",
-               "shorthand for --attack-phases 'zipf:N,uaa:0': benign zipf "
-               "traffic for N writes, then a UAA that runs to failure "
-               "(0 = off)", "0");
-  cli.add_flag("bpa-burst", "BPA burst length", "1024");
-  cli.add_flag("zipf-skew", "zipf skew s", "0.99");
-  cli.add_flag("hotspot-set", "hotspot working-set lines (>= 1)", "1");
-  cli.add_switch("detect",
-                 "online attack detector (stochastic mode): watch the user "
-                 "write stream, close a verdict window every "
-                 "--detect-window writes, emit detect_window/alarm events "
-                 "and detector stats");
-  cli.add_flag("detect-window",
-               "detector window size in user writes", "16384");
-  cli.add_switch("adaptive",
-                 "self-tuning defense (needs --detect and a wear leveler): "
-                 "retune the remap cadence from the alarm signal, bounded "
-                 "escalation with cool-down");
-  cli.add_flag("adaptive-factor",
-               "cadence multiplier per escalation step (> 1)", "2.0");
-  cli.add_flag("adaptive-max-steps",
-               "escalation bound in steps either direction", "3");
-  cli.add_flag("wl", "none|startgap|tlsr|pcms|bwl|wawl|twl", "none");
-  cli.add_flag("swap-interval", "wear-leveler remap cadence", "100");
-  cli.add_flag("spare", "none | pcd | ps | ps-worst | freep | maxwe",
-               "none");
-  cli.add_flag("spare-fraction", "spare share of capacity", "0.10");
-  cli.add_flag("swr-fraction", "Max-WE SWR share of spares", "0.90");
+  add_experiment_flags(cli, "0", "1e8");
   cli.add_flag("buffer-lines", "DRAM front-buffer lines (0 = none)", "0");
-  cli.add_flag("max-writes", "user-write cap (0 = run to failure)", "0");
   cli.add_flag("seed", "RNG seed", "42");
   cli.add_flag("seeds", "average over N seeds (seed, seed+1, ...)", "1");
   cli.add_flag("banks", "multi-bank module: independent banks (1 = single)",
@@ -147,30 +98,9 @@ int main(int argc, char** argv) {
   cli.add_switch("resume",
                  "resume from --checkpoint-out if it exists, else start "
                  "fresh");
-  cli.add_flag("fault-stuck-at",
-               "device fault: lines that die on their first write", "0");
-  cli.add_flag("fault-early-death",
-               "device fault: lines with a fraction of mapped endurance",
-               "0");
-  cli.add_flag("fault-early-death-fraction",
-               "remaining endurance fraction for early-death lines", "0.01");
-  cli.add_flag("fault-outlier-regions",
-               "device fault: regions with scaled true endurance", "0");
-  cli.add_flag("fault-outlier-factor",
-               "endurance scale factor for outlier regions", "0.25");
   cli.add_flag("fault-flip-interval",
                "metadata fault: flip one RMT/LMT bit every N user writes "
                "(0 = off; needs --spare maxwe --mode stochastic)", "0");
-  cli.add_flag("fault-seed",
-               "fault-injection RNG seed (its own stream; base results "
-               "are unchanged by faults being off or on a new seed)",
-               "99540903");
-  cli.add_switch("no-fastpath",
-                 "disable the batched fast path (stochastic mode). "
-                 "Bit-identical either way for uaa/bpa; for hotspot the "
-                 "write multiset is exact, and for random/zipf the batched "
-                 "run is distribution-equivalent (its own RNG substream), "
-                 "not bit-identical");
   cli.add_switch("verbose", "info-level logging");
 
   try {
@@ -184,70 +114,10 @@ int main(int argc, char** argv) {
     if (cli.get_bool("verbose")) set_log_level(LogLevel::kInfo);
 
     ExperimentConfig config;
-    const std::uint64_t lines = cli.get_uint("lines");
-    if (lines > 0) {
-      config.geometry = DeviceGeometry::scaled(lines, cli.get_uint("regions"));
-    }
-    config.endurance.endurance_at_mean = cli.get_double("endurance-mean");
-    config.endurance.endurance_exponent =
-        cli.get_double("endurance-exponent");
-    config.line_jitter_sigma = cli.get_double("jitter");
-    config.attack = cli.get_string("attack");
-    config.mixed_phases = cli.get_string("attack-phases");
-    const std::uint64_t attack_onset = cli.get_uint("attack-onset");
-    if (attack_onset > 0) {
-      if (!config.mixed_phases.empty()) {
-        std::cerr << "error: --attack-onset and --attack-phases are two "
-                     "spellings of the same schedule; pick one\n";
-        return 1;
-      }
-      config.mixed_phases =
-          "zipf:" + std::to_string(attack_onset) + ",uaa:0";
-    }
-    if (!config.mixed_phases.empty()) config.attack = "mixed";
-    config.bpa_burst = cli.get_uint("bpa-burst");
-    config.zipf_skew = cli.get_double("zipf-skew");
-    config.hotspot_working_set = cli.get_uint("hotspot-set");
-    config.detect = cli.get_bool("detect");
-    config.detector.window_writes = cli.get_uint("detect-window");
-    config.adaptive = cli.get_bool("adaptive");
-    config.adaptive_policy.escalate_factor =
-        cli.get_double("adaptive-factor");
-    config.adaptive_policy.max_steps =
-        static_cast<std::uint32_t>(cli.get_uint("adaptive-max-steps"));
-    config.wear_leveler = cli.get_string("wl");
-    config.wl.swap_interval = cli.get_uint("swap-interval");
-    config.spare_scheme = cli.get_string("spare");
-    config.spare_fraction = cli.get_double("spare-fraction");
-    config.swr_fraction = cli.get_double("swr-fraction");
+    apply_experiment_flags(cli, config);
     config.dram_buffer_lines = cli.get_uint("buffer-lines");
-    config.max_user_writes = cli.get_uint("max-writes");
-    config.fastpath = !cli.get_bool("no-fastpath");
     config.seed = cli.get_uint("seed");
-    config.fault.device.stuck_at_lines = cli.get_uint("fault-stuck-at");
-    config.fault.device.early_death_lines = cli.get_uint("fault-early-death");
-    config.fault.device.early_death_fraction =
-        cli.get_double("fault-early-death-fraction");
-    config.fault.device.outlier_regions =
-        cli.get_uint("fault-outlier-regions");
-    config.fault.device.outlier_factor =
-        cli.get_double("fault-outlier-factor");
     config.fault.metadata.flip_interval = cli.get_uint("fault-flip-interval");
-    config.fault.seed = cli.get_uint("fault-seed");
-    const std::string mode = cli.get_string("mode");
-    if (mode == "stochastic") {
-      config.mode = SimulationMode::kStochastic;
-    } else if (mode == "bit") {
-      config.mode = SimulationMode::kBitLevel;
-      config.payload = cli.get_string("payload");
-      config.codec = cli.get_string("codec");
-      config.ecp_entries = static_cast<std::uint32_t>(cli.get_uint("ecp"));
-    } else if (mode == "event") {
-      config.mode = SimulationMode::kUniformEvent;
-    } else {
-      std::cerr << "error: unknown --mode '" << mode << "'\n";
-      return 1;
-    }
 
     ParallelOptions parallel;
     parallel.jobs = static_cast<std::size_t>(cli.get_uint("jobs"));
@@ -269,7 +139,7 @@ int main(int argc, char** argv) {
       const std::pair<const char*, bool> ignored[] = {
           {"--mode", config.mode != SimulationMode::kUniformEvent},
           {"--attack-phases", !cli.get_string("attack-phases").empty()},
-          {"--attack-onset", attack_onset > 0},
+          {"--attack-onset", cli.get_uint("attack-onset") > 0},
           {"--attack", config.attack != "uaa" && config.attack != "random"},
           {"--wl", config.wear_leveler != "none"},
           {"--seeds", seeds > 1},
