@@ -7,72 +7,73 @@
 //      map cannot see (region-level mapping's blind spot).
 //
 // All runs: UAA on the full-size device, 10% spares, event-driven engine.
+// The ablated choices are spare-scheme names ("maxwe-identity",
+// "maxwe-random", "maxwe-random-identity"), so the whole grid is one
+// run_experiments batch.
 
 #include <iostream>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
-#include "core/maxwe.h"
-#include "sim/event_sim.h"
 #include "util/cli.h"
+#include "util/stats.h"
 #include "util/table.h"
 
-namespace {
-
-using namespace nvmsec;
-
-double lifetime_with(const MaxWeParams& params, double jitter_sigma,
-                     std::uint64_t seed) {
-  Rng rng(seed);
-  const EnduranceModel model;
-  auto map = std::make_shared<EnduranceMap>(
-      EnduranceMap::from_model(DeviceGeometry::paper_1gb(), model, rng));
-  if (jitter_sigma > 0) map->apply_line_jitter(jitter_sigma, rng);
-  auto scheme = make_maxwe(map, params);
-  UniformEventSimulator sim(map, *scheme);
-  return sim.run().normalized;
-}
-
-double averaged(const MaxWeParams& params, double jitter,
-                std::uint64_t seeds) {
-  RunningStats stats;
-  for (std::uint64_t s = 0; s < seeds; ++s) {
-    stats.add(lifetime_with(params, jitter, 42 + s));
-  }
-  return stats.mean();
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
+  using namespace nvmsec;
   CliParser cli("Ablation: Max-WE design choices under UAA (10% spares)");
   cli.add_flag("seeds", "endurance-map draws to average", "3");
+  bench::add_jobs_flag(cli);
   if (!cli.parse(argc, argv)) return 0;
   const std::uint64_t seeds = cli.get_uint("seeds");
+  const ParallelOptions jobs = bench::jobs_from_cli(cli);
 
-  Table strategies({"variant", "lifetime (%)"});
-  strategies.set_title("Ablation 1/2 - allocation-strategy variants");
-  strategies.set_precision(1);
+  // Paper geometry, UAA, 10% spares, event engine.
+  const auto variant = [](const char* scheme, double swr_fraction,
+                          double jitter_sigma) {
+    ExperimentConfig c;
+    c.spare_scheme = scheme;
+    c.swr_fraction = swr_fraction;
+    c.line_jitter_sigma = jitter_sigma;
+    return c;
+  };
+  const char* const strategies[][2] = {
+      {"maxwe", "Max-WE (weak-priority + weak-strong)"},
+      {"maxwe-identity", "identity matching"},
+      {"maxwe-random", "random spare selection"},
+      {"maxwe-random-identity", "random selection + identity matching"}};
+  const char* const matchings[][2] = {{"maxwe", "weak-strong matching"},
+                                      {"maxwe-identity", "identity matching"}};
+  const double sigmas[] = {0.0, 0.1, 0.2, 0.3};
 
-  MaxWeParams full;  // paper design
-  strategies.add_row({Cell{std::string{"Max-WE (weak-priority + weak-strong)"}},
-                      Cell{bench::pct(averaged(full, 0.0, seeds))}});
+  std::vector<ExperimentConfig> configs;
+  for (const auto& [scheme, label] : strategies) {
+    configs.push_back(variant(scheme, 0.90, 0.0));
+  }
+  for (const auto& [scheme, label] : matchings) {
+    configs.push_back(variant(scheme, 1.0, 0.0));
+  }
+  for (const double sigma : sigmas) {
+    configs.push_back(variant("maxwe", 0.90, sigma));
+    configs.push_back(variant("maxwe", 0.0, sigma));  // all-ASR, q = 0
+  }
+  const auto runs = bench::run_over_seeds(configs, seeds, 42, jobs);
+  // The tables below read the variants back in the order pushed above.
+  std::size_t next = 0;
+  const auto next_mean_pct = [&runs, &next] {
+    RunningStats stats;
+    for (const LifetimeResult& r : runs[next++]) stats.add(r.normalized);
+    return bench::pct(stats.mean());
+  };
 
-  MaxWeParams identity = full;
-  identity.matching = MatchingPolicy::kIdentity;
-  strategies.add_row({Cell{std::string{"identity matching"}},
-                      Cell{bench::pct(averaged(identity, 0.0, seeds))}});
-
-  MaxWeParams random_sel = full;
-  random_sel.selection = SpareSelectionPolicy::kRandomRegions;
-  strategies.add_row({Cell{std::string{"random spare selection"}},
-                      Cell{bench::pct(averaged(random_sel, 0.0, seeds))}});
-
-  MaxWeParams both = random_sel;
-  both.matching = MatchingPolicy::kIdentity;
-  strategies.add_row({Cell{std::string{"random selection + identity matching"}},
-                      Cell{bench::pct(averaged(both, 0.0, seeds))}});
-  strategies.print(std::cout);
+  Table strategy_table({"variant", "lifetime (%)"});
+  strategy_table.set_title("Ablation 1/2 - allocation-strategy variants");
+  strategy_table.set_precision(1);
+  for (const auto& [scheme, label] : strategies) {
+    strategy_table.add_row({Cell{std::string{label}}, Cell{next_mean_pct()}});
+  }
+  strategy_table.print(std::cout);
 
   // With the default 90/10 SWR/ASR split, a weak chain that dies early is
   // silently rescued from the ASR pool, hiding most of the matching
@@ -81,16 +82,8 @@ int main(int argc, char** argv) {
   Table binding({"variant (100% SWR, no ASR fallback)", "lifetime (%)"});
   binding.set_title("Ablation 2b - matching policy where chains bind");
   binding.set_precision(1);
-  for (const auto matching :
-       {MatchingPolicy::kWeakStrong, MatchingPolicy::kIdentity}) {
-    MaxWeParams p;
-    p.swr_fraction = 1.0;
-    p.matching = matching;
-    binding.add_row(
-        {Cell{std::string{matching == MatchingPolicy::kWeakStrong
-                              ? "weak-strong matching"
-                              : "identity matching"}},
-         Cell{bench::pct(averaged(p, 0.0, seeds))}});
+  for (const auto& [scheme, label] : matchings) {
+    binding.add_row({Cell{std::string{label}}, Cell{next_mean_pct()}});
   }
   binding.print(std::cout);
 
@@ -99,12 +92,9 @@ int main(int argc, char** argv) {
   jitter.set_title(
       "Ablation 3 - sensitivity to endurance the region map cannot see");
   jitter.set_precision(1);
-  for (double sigma : {0.0, 0.1, 0.2, 0.3}) {
-    MaxWeParams all_asr = full;
-    all_asr.swr_fraction = 0.0;
-    jitter.add_row({Cell{sigma},
-                    Cell{bench::pct(averaged(full, sigma, seeds))},
-                    Cell{bench::pct(averaged(all_asr, sigma, seeds))}});
+  for (const double sigma : sigmas) {
+    const double maxwe = next_mean_pct();
+    jitter.add_row({Cell{sigma}, Cell{maxwe}, Cell{next_mean_pct()}});
   }
   jitter.print(std::cout);
   std::cout << "reading: weak-strong matching and weak-priority selection "

@@ -8,12 +8,13 @@
 // §5.3.1 quantities at each value. The library defaults to k = 8.
 
 #include <iostream>
+#include <vector>
 
 #include "bench_common.h"
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace nvmsec;
   CliParser cli("Calibration: endurance power-law exponent sweep under UAA");
   cli.add_flag("seeds", "endurance-map draws to average", "2");
@@ -29,16 +30,24 @@ int main(int argc, char** argv) {
       "(paper targets: 4.1 / 43.1 / 30.6 / 28.5)");
   table.set_precision(1);
 
-  for (double k : {6.0, 7.0, 8.0, 9.0, 10.0, 12.0}) {
-    ExperimentConfig base;
-    base.endurance.endurance_exponent = k;
-    auto lifetime = [&](const std::string& scheme) {
-      ExperimentConfig c = base;
+  const double exponents[] = {6.0, 7.0, 8.0, 9.0, 10.0, 12.0};
+  const char* const schemes[] = {"none", "maxwe", "pcd", "ps-worst"};
+  std::vector<ExperimentConfig> configs;
+  for (const double k : exponents) {
+    for (const char* scheme : schemes) {
+      ExperimentConfig& c = configs.emplace_back();
+      c.endurance.endurance_exponent = k;
       c.spare_scheme = scheme;
-      return bench::pct(bench::mean_normalized_lifetime(c, seeds, 42, jobs));
-    };
-    table.add_row({Cell{k}, Cell{lifetime("none")}, Cell{lifetime("maxwe")},
-                   Cell{lifetime("pcd")}, Cell{lifetime("ps-worst")}});
+    }
+  }
+  const auto runs = bench::run_over_seeds(configs, seeds, 42, jobs);
+  for (std::size_t i = 0; i < std::size(exponents); ++i) {
+    std::vector<Cell> row{Cell{exponents[i]}};
+    for (std::size_t j = 0; j < std::size(schemes); ++j) {
+      row.push_back(Cell{bench::pct(
+          bench::summarize(runs[i * std::size(schemes) + j]).mean())});
+    }
+    table.add_row(std::move(row));
   }
   table.print(std::cout);
   std::cout << "k=6 matches §2.1's \"56x for 512 domains\" example; k=8 "

@@ -1,15 +1,16 @@
 // Shared helpers for the figure/table reproduction benches.
 //
-// Every sweep helper here routes through sim/parallel.h: runs fan out
-// across `--jobs` workers, results come back in input order, and the
-// reduction happens on the calling thread — so a bench's numbers are
-// bit-identical at any job count (see docs/architecture.md, "Threading
-// model & determinism").
+// A bench submits its whole grid through run_over_seeds, one
+// sim/parallel.h batch: runs fan out across `--jobs` workers, results come
+// back in input order, and the reduction happens on the calling thread —
+// so a bench's numbers are bit-identical at any job count (see
+// docs/architecture.md, "Threading model & determinism").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <string>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/parallel.h"
@@ -33,43 +34,39 @@ inline ParallelOptions jobs_from_cli(const CliParser& cli) {
   return options;
 }
 
-/// Distribution of normalized lifetime across a seed sweep: exact moments
-/// plus sketch percentiles, built on the same StreamSummary the fleet
-/// aggregates use. The reduction is a deterministic input-order
-/// (seed-order) pass over the results, so the summary — sketch centroids
-/// included — is bit-identical at any job count.
-struct SeedSweepStats {
-  StreamSummary summary;
-
-  [[nodiscard]] double mean() const { return summary.mean(); }
-  [[nodiscard]] double stddev() const { return summary.stddev(); }
-  [[nodiscard]] double min() const { return summary.min(); }
-  [[nodiscard]] double max() const { return summary.max(); }
-  /// Sketch percentile, q in [0, 1] (exact for small sweeps, where every
-  /// seed fits its own centroid).
-  [[nodiscard]] double quantile(double q) const { return summary.quantile(q); }
-};
-
-/// Run `seeds` experiments (base_seed, base_seed+1, ...) and reduce in seed
-/// order.
-inline SeedSweepStats lifetime_over_seeds(
-    ExperimentConfig config, std::uint64_t seeds, std::uint64_t base_seed = 42,
-    const ParallelOptions& options = {}) {
-  std::vector<ExperimentConfig> configs(seeds, config);
-  for (std::uint64_t s = 0; s < seeds; ++s) configs[s].seed = base_seed + s;
-  const std::vector<LifetimeResult> results =
-      run_experiments(configs, options);
-  SeedSweepStats stats;
-  for (const LifetimeResult& r : results) stats.summary.add(r.normalized);
-  return stats;
+/// Run every config over `seeds` seeds (base_seed, base_seed+1, ...) as
+/// one run_experiments batch, so the whole grid shares the --jobs workers.
+/// Returns runs[c][s]: config c at seed base_seed + s. Throws
+/// std::invalid_argument when `seeds` is 0.
+inline std::vector<std::vector<LifetimeResult>> run_over_seeds(
+    std::span<const ExperimentConfig> configs, std::uint64_t seeds,
+    std::uint64_t base_seed, const ParallelOptions& options) {
+  if (seeds == 0) throw std::invalid_argument("--seeds must be at least 1");
+  std::vector<ExperimentConfig> batch;
+  batch.reserve(configs.size() * seeds);
+  for (const ExperimentConfig& config : configs) {
+    for (std::uint64_t s = 0; s < seeds; ++s) {
+      batch.push_back(config);
+      batch.back().seed = base_seed + s;
+    }
+  }
+  const std::vector<LifetimeResult> results = run_experiments(batch, options);
+  std::vector<std::vector<LifetimeResult>> runs;
+  runs.reserve(configs.size());
+  for (auto first = results.begin(); first != results.end();
+       first += static_cast<std::ptrdiff_t>(seeds)) {
+    runs.emplace_back(first, first + static_cast<std::ptrdiff_t>(seeds));
+  }
+  return runs;
 }
 
-/// Average a lifetime experiment over `seeds` seeds starting at base_seed.
-inline double mean_normalized_lifetime(ExperimentConfig config,
-                                       std::uint64_t seeds,
-                                       std::uint64_t base_seed = 42,
-                                       const ParallelOptions& options = {}) {
-  return lifetime_over_seeds(config, seeds, base_seed, options).mean();
+/// Normalized lifetime over one config's seeds, reduced in seed order:
+/// exact moments plus sketch percentiles, on the StreamSummary the fleet
+/// aggregates use, so it is bit-identical at any job count.
+inline StreamSummary summarize(std::span<const LifetimeResult> runs) {
+  StreamSummary summary;
+  for (const LifetimeResult& r : runs) summary.add(r.normalized);
+  return summary;
 }
 
 /// Percentage formatting convention used in every table (paper reports

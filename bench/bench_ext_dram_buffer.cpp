@@ -11,7 +11,7 @@
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace nvmsec;
   CliParser cli("Extension: DRAM front buffer vs the attack models");
   cli.add_flag("lines", "device size in lines", "2048");

@@ -8,23 +8,29 @@
 
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 
 #include "core/latency_model.h"
 #include "core/maxwe.h"
 #include "core/overhead.h"
 #include "sim/event_sim.h"
+#include "sim/experiment.h"
 #include "spare/freep.h"
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace nvmsec;
   CliParser cli("Extension: FREE-p vs Max-WE, lifetime and latency");
   cli.add_flag("seeds", "endurance-map draws to average", "3");
   if (!cli.parse(argc, argv)) return 0;
   const std::uint64_t seeds = cli.get_uint("seeds");
+  if (seeds == 0) throw std::invalid_argument("--seeds must be at least 1");
 
-  const DeviceGeometry geometry = DeviceGeometry::paper_1gb();
+  // FREE-p gets Max-WE's region-aligned budget, as run_experiment gives it.
+  const ExperimentConfig budget;  // paper 1 GB geometry, 10% spares
+  const DeviceGeometry geometry = budget.geometry;
+  const std::uint64_t spare_lines = budget.spare_lines();
   double freep_lifetime = 0, maxwe_lifetime = 0, freep_hops = 0;
   double freep_max_chain = 0;
   for (std::uint64_t s = 0; s < seeds; ++s) {
@@ -32,7 +38,6 @@ int main(int argc, char** argv) {
     const EnduranceModel model;
     auto map = std::make_shared<EnduranceMap>(
         EnduranceMap::from_model(geometry, model, rng));
-    const std::uint64_t spare_lines = geometry.num_lines() / 10;
 
     auto freep = std::make_unique<FreeP>(map, spare_lines);
     UniformEventSimulator sim_freep(map, *freep);

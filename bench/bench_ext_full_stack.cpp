@@ -26,7 +26,7 @@ struct RunSpec {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace nvmsec;
   CliParser cli("Extension: composed defenses under UAA (cell-granular)");
   cli.add_flag("lines", "device size in lines", "1024");

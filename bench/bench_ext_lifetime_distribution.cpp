@@ -16,7 +16,7 @@
 #include "util/stats.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace nvmsec;
   CliParser cli("Extension: lifetime distribution across endurance-map draws");
   cli.add_flag("draws", "endurance-map draws per scheme", "30");

@@ -12,7 +12,7 @@
 #include "bench_common.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace nvmsec;
   CliParser cli("Extension: module lifetime vs bank count under UAA");
   cli.add_flag("lines", "lines per bank", "65536");

@@ -15,6 +15,7 @@
 
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 
 #include "nvm/bit_device.h"
 #include "reduction/payload.h"
@@ -53,16 +54,13 @@ WriteCount mean_line_lifetime(const std::string& payload_name,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   CliParser cli("Extension: write-reduction codecs and ECP at cell level");
   cli.add_flag("trials", "independent lines per cell", "6");
   cli.add_flag("cell-endurance", "mean cell endurance (scaled)", "2000");
   if (!cli.parse(argc, argv)) return 0;
   const std::uint64_t trials = cli.get_uint("trials");
-  if (trials == 0) {
-    std::cerr << "error: --trials must be at least 1\n";
-    return 1;
-  }
+  if (trials == 0) throw std::invalid_argument("--trials must be at least 1");
   const double endurance = cli.get_double("cell-endurance");
 
   Rng rng(42);

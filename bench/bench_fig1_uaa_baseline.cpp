@@ -7,6 +7,7 @@
 // prediction for the realized endurance spread.
 
 #include <iostream>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/analytic.h"
@@ -15,17 +16,21 @@
 #include "util/stats.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace nvmsec;
   CliParser cli("Figure 1: ideal vs UAA lifetime on an unprotected device");
   cli.add_flag("seeds", "number of endurance-map draws to average", "5");
   cli.add_switch("histogram", "print the endurance distribution (the red "
                               "curve of Fig. 1)");
+  bench::add_jobs_flag(cli);
   if (!cli.parse(argc, argv)) return 0;
   const std::uint64_t seeds = cli.get_uint("seeds");
+  const ParallelOptions jobs = bench::jobs_from_cli(cli);
 
   ExperimentConfig config;  // paper 1 GB geometry, UAA, event engine
   config.spare_scheme = "none";
+  const std::vector<LifetimeResult> runs =
+      bench::run_over_seeds({&config, 1}, seeds, 42, jobs).front();
 
   Table table({"seed", "normalized lifetime (%)", "realized q = EH/EL",
                "Eq.(5) linear-model (%)"});
@@ -36,7 +41,7 @@ int main(int argc, char** argv) {
   RunningStats measured;
   for (std::uint64_t s = 0; s < seeds; ++s) {
     config.seed = 42 + s;
-    const LifetimeResult r = run_experiment(config);
+    const LifetimeResult& r = runs[s];
     measured.add(r.normalized);
 
     // Rebuild the same endurance map to report the realized spread and the

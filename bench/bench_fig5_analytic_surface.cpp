@@ -8,7 +8,7 @@
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace nvmsec;
   CliParser cli("Figure 5: analytic lifetime surface (linear endurance model)");
   cli.add_flag("p-steps", "grid points along the spare-ratio axis", "5");

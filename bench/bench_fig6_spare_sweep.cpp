@@ -5,6 +5,7 @@
 //               {4.1, 14.0, 43.1, 57.9, 74.1, 86.9, 87.4}% of ideal.
 
 #include <iostream>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/analytic.h"
@@ -12,7 +13,7 @@
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace nvmsec;
   CliParser cli("Figure 6: Max-WE lifetime vs spare-line percentage (UAA)");
   cli.add_flag("seeds", "endurance-map draws to average", "3");
@@ -40,19 +41,23 @@ int main(int argc, char** argv) {
   const EnduranceMap map =
       EnduranceMap::from_model(reference.geometry, model, rng);
 
+  std::vector<ExperimentConfig> configs;
+  for (const double fraction : fractions) {
+    // Paper geometry, UAA, event engine. 0% spares has no scheme to run;
+    // use the unprotected baseline.
+    ExperimentConfig& config = configs.emplace_back();
+    config.spare_fraction = fraction;
+    config.spare_scheme = fraction == 0.0 ? "none" : "maxwe";
+  }
+  const auto runs = bench::run_over_seeds(configs, seeds, 42, jobs);
   for (std::size_t i = 0; i < std::size(fractions); ++i) {
-    ExperimentConfig config;  // paper geometry, UAA, event engine
-    config.spare_fraction = fractions[i];
-    // 0% spares has no scheme to run; use the unprotected baseline.
-    config.spare_scheme = fractions[i] == 0.0 ? "none" : "maxwe";
-    const double lifetime =
-        bench::mean_normalized_lifetime(config, seeds, 42, jobs);
+    const double lifetime = bench::summarize(runs[i]).mean();
 
     LinearLifetimeModel lin;
-    lin.num_lines = static_cast<double>(config.geometry.num_lines());
+    lin.num_lines = static_cast<double>(configs[i].geometry.num_lines());
     lin.e_low = map.min_line_endurance();
     lin.e_high = map.max_line_endurance();
-    lin.spare_lines = static_cast<double>(config.spare_lines());
+    lin.spare_lines = static_cast<double>(configs[i].spare_lines());
     const double eq6 = lin.maxwe() / lin.ideal();
 
     table.add_row({Cell{100.0 * fractions[i]}, Cell{bench::pct(lifetime)},

@@ -10,13 +10,15 @@
 // endurance-scale-free; see EXPERIMENTS.md "Scaling" for the invariants).
 
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "util/cli.h"
 #include "util/table.h"
 #include "wearlevel/wear_leveler.h"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace nvmsec;
   CliParser cli("Figure 7: Max-WE lifetime vs SWR share under BPA");
   cli.add_flag("seeds", "runs to average per point", "2");
@@ -37,18 +39,26 @@ int main(int argc, char** argv) {
       "Figure 7 - Max-WE lifetime (%) under BPA vs SWR share, 10% spares");
   table.set_precision(1);
 
-  for (double q : swr_shares) {
-    std::vector<Cell> row{Cell{100.0 * q}};
-    for (const std::string& wl : paper_wear_levelers()) {
-      ExperimentConfig config = scaled_stochastic_config(
-          cli.get_uint("lines"), cli.get_uint("regions"),
-          cli.get_double("endurance"));
-      config.attack = "bpa";
+  ExperimentConfig base = scaled_stochastic_config(
+      cli.get_uint("lines"), cli.get_uint("regions"),
+      cli.get_double("endurance"));
+  base.attack = "bpa";
+  base.spare_scheme = "maxwe";
+  const std::vector<std::string>& levelers = paper_wear_levelers();
+  std::vector<ExperimentConfig> configs;
+  for (const double q : swr_shares) {
+    for (const std::string& wl : levelers) {
+      ExperimentConfig& config = configs.emplace_back(base);
       config.wear_leveler = wl;
-      config.spare_scheme = "maxwe";
       config.swr_fraction = q;
+    }
+  }
+  const auto runs = bench::run_over_seeds(configs, seeds, 7, jobs);
+  for (std::size_t i = 0; i < std::size(swr_shares); ++i) {
+    std::vector<Cell> row{Cell{100.0 * swr_shares[i]}};
+    for (std::size_t j = 0; j < levelers.size(); ++j) {
       row.push_back(Cell{bench::pct(
-          bench::mean_normalized_lifetime(config, seeds, 7, jobs))});
+          bench::summarize(runs[i * levelers.size() + j]).mean())});
     }
     table.add_row(std::move(row));
   }

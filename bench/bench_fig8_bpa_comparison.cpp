@@ -14,7 +14,7 @@
 #include "util/table.h"
 #include "wearlevel/wear_leveler.h"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace nvmsec;
   CliParser cli("Figure 8: Max-WE vs PCD/PS vs PS-worst under BPA");
   cli.add_flag("seeds", "runs to average per point", "2");
@@ -36,18 +36,26 @@ int main(int argc, char** argv) {
       "Figure 8 - lifetime (%) under BPA, 10% spares, by wear leveler");
   table.set_precision(1);
 
-  for (const std::string& wl : paper_wear_levelers()) {
-    std::vector<Cell> row{Cell{wl}};
+  ExperimentConfig base = scaled_stochastic_config(
+      cli.get_uint("lines"), cli.get_uint("regions"),
+      cli.get_double("endurance"));
+  base.attack = "bpa";
+  const std::vector<std::string>& levelers = paper_wear_levelers();
+  std::vector<ExperimentConfig> configs;
+  for (const std::string& wl : levelers) {
     for (const auto& [scheme, label] : schemes) {
-      ExperimentConfig config = scaled_stochastic_config(
-          cli.get_uint("lines"), cli.get_uint("regions"),
-          cli.get_double("endurance"));
-      config.attack = "bpa";
+      ExperimentConfig& config = configs.emplace_back(base);
       config.wear_leveler = wl;
       config.spare_scheme = scheme;
+    }
+  }
+  const auto runs = bench::run_over_seeds(configs, seeds, 7, jobs);
+  for (std::size_t i = 0; i < levelers.size(); ++i) {
+    std::vector<Cell> row{Cell{levelers[i]}};
+    for (std::size_t j = 0; j < schemes.size(); ++j) {
       const double lifetime =
-          bench::mean_normalized_lifetime(config, seeds, 7, jobs);
-      lifetimes[scheme].push_back(lifetime);
+          bench::summarize(runs[i * schemes.size() + j]).mean();
+      lifetimes[schemes[j].first].push_back(lifetime);
       row.push_back(Cell{bench::pct(lifetime)});
     }
     table.add_row(std::move(row));

@@ -16,7 +16,7 @@
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace nvmsec;
   CliParser cli("Table (§5.3.2): mapping-table storage overhead");
   if (!cli.parse(argc, argv)) return 0;

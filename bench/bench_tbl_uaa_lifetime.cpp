@@ -3,12 +3,13 @@
 //   Max-WE beating PCD/PS by 40.7% and PS-worst by 51.1%.
 
 #include <iostream>
+#include <vector>
 
 #include "bench_common.h"
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace nvmsec;
   CliParser cli("Table (§5.3.1): lifetime under UAA at 10% spares");
   cli.add_flag("seeds", "endurance-map draws to average", "3");
@@ -20,30 +21,28 @@ int main(int argc, char** argv) {
   const double spare = cli.get_double("spare");
   const ParallelOptions jobs = bench::jobs_from_cli(cli);
 
-  ExperimentConfig base;  // paper geometry, UAA, event engine
-  base.spare_fraction = spare;
-
-  auto lifetime = [&](const std::string& scheme) {
-    ExperimentConfig c = base;
+  // Paper geometry, UAA, event engine; one config per table row.
+  std::vector<ExperimentConfig> configs;
+  for (const char* scheme : {"none", "maxwe", "pcd", "ps", "ps-worst"}) {
+    ExperimentConfig& c = configs.emplace_back();
+    c.spare_fraction = spare;
     c.spare_scheme = scheme;
-    return bench::lifetime_over_seeds(c, seeds, 42, jobs);
-  };
+  }
+  const auto runs = bench::run_over_seeds(configs, seeds, 42, jobs);
 
-  const bench::SeedSweepStats none = lifetime("none");
   struct Row {
     const char* name;
-    bench::SeedSweepStats measured;
+    StreamSummary measured;
     double paper_pct;
     double paper_factor;
   };
   const Row rows[] = {
-      {"unprotected", none, 4.1, 1.0},
-      {"Max-WE", lifetime("maxwe"), 43.1, 9.5},
-      {"PCD", lifetime("pcd"), 30.6, 7.4},
-      {"PS (average)", lifetime("ps"), 30.6, 7.4},
-      {"PS-worst", lifetime("ps-worst"), 28.5, 6.9},
+      {"unprotected", bench::summarize(runs[0]), 4.1, 1.0},
+      {"Max-WE", bench::summarize(runs[1]), 43.1, 9.5},
+      {"PCD", bench::summarize(runs[2]), 30.6, 7.4},
+      {"PS (average)", bench::summarize(runs[3]), 30.6, 7.4},
+      {"PS-worst", bench::summarize(runs[4]), 28.5, 6.9},
   };
-
   Table table({"scheme", "lifetime (%)", "stddev (pp)", "min (%)", "max (%)",
                "improvement vs unprotected", "paper lifetime (%)",
                "paper improvement"});
@@ -56,8 +55,8 @@ int main(int argc, char** argv) {
                    Cell{bench::pct(r.measured.stddev())},
                    Cell{bench::pct(r.measured.min())},
                    Cell{bench::pct(r.measured.max())},
-                   Cell{r.measured.mean() / none.mean()}, Cell{r.paper_pct},
-                   Cell{r.paper_factor}});
+                   Cell{r.measured.mean() / rows[0].measured.mean()},
+                   Cell{r.paper_pct}, Cell{r.paper_factor}});
   }
   if (cli.get_bool("csv")) {
     std::cout << table.csv();

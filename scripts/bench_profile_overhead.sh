@@ -11,11 +11,13 @@
 #   2. A zipf stochastic run (multinomial counts path: one engine.counts.*
 #      span per count vector, chunk counters and histograms).
 #
-# Each config runs REPS times with and without --profile-out; the min-of-N
-# pair is compared (min is the right statistic for a noise gate — the
-# fastest run is the one with the least scheduler interference). GATING:
-# profiled min <= plain min * 1.02 + 0.05s absolute slack for
-# timer-resolution noise on sub-second runs.
+# Each config runs REPS rounds of one plain and one --profile-out run,
+# interleaved: odd rounds run plain first, even rounds profiled first, so a
+# slow spell of the host lands on both sides rather than on whichever side
+# ran during it. Each side's min-of-REPS is compared (min is the right
+# statistic for a noise gate — the fastest run is the one with the least
+# scheduler interference). GATING: profiled min <= plain min * 1.02 +
+# 0.05s absolute slack for timer-resolution noise on sub-second runs.
 #
 # Also GATING: the profiler must account for where the time went — the
 # "attributed:" line maxwe_profile prints (time in phases with no observed
@@ -48,19 +50,31 @@ now_ns() { date +%s%N; }
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 
-# run_reps <name> [command...]: run REPS times, echo min elapsed seconds.
-run_reps() {
-  local name="$1" best="" t0 t1 t
-  shift
-  for _ in $(seq "$REPS"); do
-    t0="$(now_ns)"
-    "$@" > /dev/null
-    t1="$(now_ns)"
-    t="$(awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.3f", (b - a) / 1e9 }')"
-    best="$(awk -v a="${best:-$t}" -v b="$t" \
-      'BEGIN { printf "%.3f", (a < b) ? a : b }')"
+# time_once command...: run it once, echo elapsed seconds.
+time_once() {
+  local t0 t1
+  t0="$(now_ns)"
+  "$@" > /dev/null
+  t1="$(now_ns)"
+  awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.3f", (b - a) / 1e9 }'
+}
+
+min_of() { awk -v a="$1" -v b="$2" 'BEGIN { printf "%.3f", (a < b) ? a : b }'; }
+
+# run_interleaved <plain-cmd> <profiled-cmd>: REPS rounds of one run of
+# each, alternating which goes first; echo "<plain-min> <profiled-min>".
+run_interleaved() {
+  local plain="" prof="" rep t
+  for rep in $(seq "$REPS"); do
+    if (( rep % 2 == 1 )); then
+      t="$(time_once "$1")"; plain="$(min_of "${plain:-$t}" "$t")"
+      t="$(time_once "$2")"; prof="$(min_of "${prof:-$t}" "$t")"
+    else
+      t="$(time_once "$2")"; prof="$(min_of "${prof:-$t}" "$t")"
+      t="$(time_once "$1")"; plain="$(min_of "${plain:-$t}" "$t")"
+    fi
   done
-  echo "$best"
+  echo "$plain $prof"
 }
 
 gate_overhead() {  # gate_overhead <name> <plain-s> <profiled-s>
@@ -105,13 +119,12 @@ run_uaa_sweep() {  # run_uaa_sweep [extra args...]
   done
 }
 
-echo "== UAA sweep, plain (min of $REPS)"
-T_UAA_PLAIN="$(run_reps uaa_plain run_uaa_sweep)"
-echo "   ${T_UAA_PLAIN}s"
-echo "== UAA sweep, --profile-out (min of $REPS)"
-T_UAA_PROF="$(run_reps uaa_prof run_uaa_sweep \
-  --profile-out "$workdir/uaa.profile.json")"
-echo "   ${T_UAA_PROF}s"
+uaa_profiled() { run_uaa_sweep --profile-out "$workdir/uaa.profile.json"; }
+
+echo "== UAA sweep, plain vs --profile-out ($REPS interleaved rounds)"
+UAA_PAIR="$(run_interleaved run_uaa_sweep uaa_profiled)"
+read -r T_UAA_PLAIN T_UAA_PROF <<< "$UAA_PAIR"
+echo "   plain ${T_UAA_PLAIN}s, profiled ${T_UAA_PROF}s"
 gate_overhead "uaa sweep" "$T_UAA_PLAIN" "$T_UAA_PROF"
 UAA_OVERHEAD="$(awk -v p="$T_UAA_PLAIN" -v q="$T_UAA_PROF" \
   'BEGIN { printf "%.2f", (p > 0) ? 100 * (q - p) / p : 0 }')"
@@ -122,13 +135,15 @@ ZIPF_ARGS=(--mode stochastic --lines 65536 --regions 1024
            --endurance-mean 300000 --attack zipf --wl none --spare maxwe
            --seed 11)
 
-echo "== zipf counts run, plain (min of $REPS)"
-T_ZIPF_PLAIN="$(run_reps zipf_plain "$SIM" "${ZIPF_ARGS[@]}")"
-echo "   ${T_ZIPF_PLAIN}s"
-echo "== zipf counts run, --profile-out (min of $REPS)"
-T_ZIPF_PROF="$(run_reps zipf_prof "$SIM" "${ZIPF_ARGS[@]}" \
-  --profile-out "$workdir/zipf.profile.json")"
-echo "   ${T_ZIPF_PROF}s"
+zipf_plain() { "$SIM" "${ZIPF_ARGS[@]}"; }
+zipf_profiled() {
+  "$SIM" "${ZIPF_ARGS[@]}" --profile-out "$workdir/zipf.profile.json"
+}
+
+echo "== zipf counts run, plain vs --profile-out ($REPS interleaved rounds)"
+ZIPF_PAIR="$(run_interleaved zipf_plain zipf_profiled)"
+read -r T_ZIPF_PLAIN T_ZIPF_PROF <<< "$ZIPF_PAIR"
+echo "   plain ${T_ZIPF_PLAIN}s, profiled ${T_ZIPF_PROF}s"
 gate_overhead "zipf run" "$T_ZIPF_PLAIN" "$T_ZIPF_PROF"
 ZIPF_OVERHEAD="$(awk -v p="$T_ZIPF_PLAIN" -v q="$T_ZIPF_PROF" \
   'BEGIN { printf "%.2f", (p > 0) ? 100 * (q - p) / p : 0 }')"
@@ -152,6 +167,7 @@ cat > "$OUT_JSON" <<EOF
 {
   "benchmark": "profiler_overhead",
   "reps": $REPS,
+  "method": "interleaved plain/profiled rounds, alternating which runs first; min of reps per side",
   "gate": "profiled <= plain * $OVERHEAD_FRAC + ${ABS_SLACK}s; attributed >= ${MIN_ATTRIBUTED}%",
   "uaa_sweep": {
     "config": "stochastic 4096x256 uaa tlsr maxwe, spare fractions [${UAA_FRACTIONS[*]}]",

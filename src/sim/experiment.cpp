@@ -50,6 +50,11 @@ std::uint64_t ExperimentConfig::spare_lines() const {
   return spare_regions * geometry.lines_per_region();
 }
 
+namespace {
+
+/// The spare scheme `config` names over `endurance`, drawing from `rng`.
+/// Throws std::invalid_argument on an unknown scheme name or a zero spare
+/// budget.
 std::unique_ptr<SpareScheme> build_spare_scheme(
     const ExperimentConfig& config,
     const std::shared_ptr<const EnduranceMap>& endurance, Rng& rng) {
@@ -65,17 +70,36 @@ std::unique_ptr<SpareScheme> build_spare_scheme(
   if (name == "ps") return make_ps(endurance, spare_lines, rng);
   if (name == "ps-worst") return make_ps_worst(endurance, spare_lines, rng);
   if (name == "freep") return make_freep(endurance, spare_lines);
-  if (name == "maxwe") {
+  // Max-WE and its ablation variants (DESIGN.md A1).
+  const bool random = name == "maxwe-random" || name == "maxwe-random-identity";
+  const bool identity =
+      name == "maxwe-identity" || name == "maxwe-random-identity";
+  if (name == "maxwe" || random || identity) {
     MaxWeParams params;
     params.spare_fraction = config.spare_fraction;
     params.swr_fraction = config.swr_fraction;
+    if (random) params.selection = SpareSelectionPolicy::kRandomRegions;
+    if (identity) params.matching = MatchingPolicy::kIdentity;
     return make_maxwe(endurance, params);
   }
   throw std::invalid_argument("run_experiment: unknown spare scheme '" + name +
                               "'");
 }
 
-namespace {
+/// The map a config that carries one runs on: that map, or a copy of it
+/// jittered from `rng`, whose first draws these are.
+std::shared_ptr<const EnduranceMap> supplied_map(const ExperimentConfig& config,
+                                                 Rng& rng) {
+  if (config.endurance_map->geometry() != config.geometry) {
+    throw std::invalid_argument(
+        "run_experiment: endurance_map geometry differs from "
+        "config.geometry");
+  }
+  if (config.line_jitter_sigma <= 0) return config.endurance_map;
+  auto jittered = std::make_shared<EnduranceMap>(*config.endurance_map);
+  jittered->apply_line_jitter(config.line_jitter_sigma, rng);
+  return jittered;
+}
 
 /// Fault injection and checkpointing only make sense where there is a
 /// run-time trajectory to perturb or to save; reject the combinations that
@@ -186,6 +210,18 @@ std::uint64_t config_fingerprint(const ExperimentConfig& config) {
   w.u32(config.adaptive_policy.max_steps);
   w.u32(config.adaptive_policy.hold_windows);
   w.u32(config.adaptive_policy.relax_windows);
+  if (const EnduranceMap* map = config.endurance_map.get()) {
+    // Only a supplied map is hashed, so every config without one keeps the
+    // fingerprint its checkpoints and journals already carry.
+    for (std::uint64_t r = 0; r < map->geometry().num_regions(); ++r) {
+      w.f64(map->region_endurance(RegionId{r}));
+    }
+    w.boolean(map->has_line_jitter());
+    for (std::uint64_t l = 0;
+         map->has_line_jitter() && l < map->geometry().num_lines(); ++l) {
+      w.f64(map->line_endurance(PhysLineAddr{l}));
+    }
+  }
   // FNV-1a over the canonical little-endian encoding above.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (std::uint8_t b : w.buffer()) {
@@ -303,12 +339,16 @@ LifetimeResult run_experiment(const ExperimentConfig& config,
   std::optional<ScopedProfPhase> setup_span;
   setup_span.emplace(prof, ProfPhase::kExperimentSetup);
 
-  // The map (unless cached), spare scheme, device and event scratch come
-  // from the caller's workspace, or from a local one built for this run.
+  // The map (unless supplied or cached), spare scheme, device and event
+  // scratch come from the caller's workspace, or from a local one built for
+  // this run. A supplied map bypasses the cache, which would hand back the
+  // seed's model draw.
   ExperimentWorkspace local_workspace;
   ExperimentWorkspace& ws = workspace != nullptr ? *workspace : local_workspace;
   std::shared_ptr<const EnduranceMap> map;
-  if (cache != nullptr) {
+  if (config.endurance_map != nullptr) {
+    map = supplied_map(config, rng);
+  } else if (cache != nullptr) {
     EnduranceMapCache::BuiltMap built =
         cache->get_or_build(config.geometry, config.endurance, config.seed,
                             config.line_jitter_sigma);

@@ -55,6 +55,12 @@ struct ExperimentConfig {
   /// the paper's region-constant model.
   double line_jitter_sigma{0.0};
   std::uint64_t seed{42};
+  /// Optional endurance map to run on instead of drawing one from
+  /// `endurance` (a map loaded from a file, say); its geometry must equal
+  /// `geometry`. Rng(seed) then makes no map draws: it goes straight to
+  /// line jitter, applied to a copy of the map, and on to the spare
+  /// scheme. Such a run never goes through an EnduranceMapCache.
+  std::shared_ptr<const EnduranceMap> endurance_map;
 
   /// "uaa", "bpa", "hotspot", "random", "zipf" (a benign-workload proxy
   /// rather than an attack), or "mixed" (a phase schedule, see below).
@@ -86,7 +92,9 @@ struct ExperimentConfig {
   std::string wear_leveler{"none"};
   WearLevelerParams wl{};
 
-  /// "none", "pcd", "ps", "ps-worst", "freep", "maxwe".
+  /// "none", "pcd", "ps", "ps-worst", "freep", "maxwe", or the Max-WE
+  /// ablations (DESIGN.md A1) "maxwe-identity" (like-order matching),
+  /// "maxwe-random" (random spare regions) and "maxwe-random-identity".
   std::string spare_scheme{"none"};
   /// Spare budget as a fraction of total capacity, allocated in whole
   /// regions for every scheme so comparisons are budget-matched.
@@ -155,33 +163,27 @@ struct ExperimentConfig {
 /// is missing, corrupt, or from a different configuration.
 ///
 /// The spare scheme, device and event-engine scratch come from `workspace`
-/// (a local one when nullptr), and so does the endurance map unless
-/// `cache` is given (see sim/endurance_cache.h). Neither changes the
-/// result by a bit: the cache replays the post-map RNG state, so every
-/// later draw (spare-scheme placement, attack, engine) is unchanged, and a
-/// workspace only recycles storage.
+/// (a local one when nullptr), and so does the endurance map unless the
+/// config carries one or `cache` is given (see sim/endurance_cache.h).
+/// Neither changes the result by a bit: the cache replays the post-map RNG
+/// state, so every later draw (spare-scheme placement, attack, engine) is
+/// unchanged, and a workspace only recycles storage.
 LifetimeResult run_experiment(const ExperimentConfig& config,
                               EnduranceMapCache* cache = nullptr,
                               ExperimentWorkspace* workspace = nullptr);
 
 /// Stable 64-bit fingerprint of every field that shapes the simulation
 /// trajectory (geometry, endurance model, seed, attack, leveler, scheme,
-/// fault plan, ...). Embedded in checkpoints so resume can refuse a file
-/// written by a different configuration. Deliberately excludes
-/// max_user_writes: a capped checkpointing run and the uncapped run it
-/// stands in for share a trajectory, so they must share a fingerprint.
+/// fault plan, a supplied endurance map, ...). Embedded in checkpoints so
+/// resume can refuse a file written by a different configuration.
+/// Deliberately excludes max_user_writes: a capped checkpointing run and
+/// the uncapped run it stands in for share a trajectory, so they must share
+/// a fingerprint.
 [[nodiscard]] std::uint64_t config_fingerprint(const ExperimentConfig& config);
 
-/// The spare scheme run_experiment builds for `config` over `endurance`,
-/// drawing from `rng` as it does. Throws std::invalid_argument on an
-/// unknown scheme name or a zero spare budget. Public so a run over an
-/// endurance map loaded from a file builds the same scheme.
-std::unique_ptr<SpareScheme> build_spare_scheme(
-    const ExperimentConfig& config,
-    const std::shared_ptr<const EnduranceMap>& endurance, Rng& rng);
-
 /// Where run_experiment gets its heavy objects: the endurance map (rebuilt
-/// in place with identical RNG draws), the spare scheme (rebound via
+/// in place with identical RNG draws; untouched when the config carries a
+/// map), the spare scheme (rebound via
 /// SpareScheme::rebind when the scheme supports it), the Device wear state
 /// and the event engine's scratch. An empty workspace constructs each one;
 /// a workspace kept across back-to-back runs (one per fleet worker thread)

@@ -4,7 +4,6 @@
 #include "wearlevel/bwl.h"
 #include "wearlevel/none.h"
 #include "wearlevel/pcm_s.h"
-#include "wearlevel/age_based.h"
 #include "wearlevel/security_refresh.h"
 #include "wearlevel/start_gap.h"
 #include "wearlevel/twl.h"
@@ -63,14 +62,6 @@ std::unique_ptr<WearLeveler> make_wear_leveler(const std::string& name,
     return std::make_unique<Bwl>(working_lines, endurance,
                                  resolve_group_lines(working_lines, params),
                                  kBwlClasses, params.swap_interval, kBwlBeta);
-  }
-  if (name == "agebased") {
-    // Bucket width sized so benign skew separates lines into a few buckets
-    // within one remap epoch.
-    const std::uint64_t width =
-        std::max<std::uint64_t>(1, params.swap_interval / 4);
-    return std::make_unique<AgeBased>(working_lines, /*buckets=*/8,
-                                      params.swap_interval, width);
   }
   if (name == "twl") {
     std::uint64_t group = resolve_group_lines(working_lines, params);

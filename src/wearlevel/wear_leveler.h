@@ -67,7 +67,7 @@ class WearLeveler {
   /// Start-Gap, PCM-S, BWL and TWL count every write against one global
   /// cadence and answer it. TLSR and WAWL count per sub-region or per line,
   /// so no bound holds for every address: they keep this at 0 and answer
-  /// only the per-address pair below. Age-based leveling answers neither.
+  /// only the per-address pair below.
   [[nodiscard]] virtual std::uint64_t writes_until_remap() const { return 0; }
 
   /// Fast-forward the remap cadence by `k` user writes that were issued

@@ -9,9 +9,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "nvm/endurance_map.h"
 #include "sim/experiment.h"
 #include "sim/fleet.h"
 #include "sim/journal.h"
@@ -211,6 +213,44 @@ TEST(CheckpointResumeTest, RefusesCheckpointFromDifferentConfig) {
   try {
     run_experiment(other);
     FAIL() << "expected a refusal to resume";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("different configuration"),
+              std::string::npos);
+  }
+}
+
+TEST(CheckpointResumeTest, RefusesCheckpointOverADifferentSuppliedMap) {
+  const std::string path = ::testing::TempDir() + "/ckpt_map.bin";
+  fs::remove(path);
+  const DeviceGeometry geometry = DeviceGeometry::scaled(512, 32);
+  const auto ramp = [&geometry](std::uint64_t seed) {
+    Rng rng(seed);
+    return std::make_shared<const EnduranceMap>(
+        EnduranceMap::linear(geometry, 150.0, 450.0, true, rng));
+  };
+  ExperimentConfig writer = maxwe_config();
+  writer.endurance_map = ramp(1);
+  writer.checkpoint_out = path;
+  writer.checkpoint_interval = 1000;
+  writer.max_user_writes = 2500;
+  run_experiment(writer);
+  ASSERT_TRUE(fs::exists(path));
+
+  // Over the same map the run resumes into the uninterrupted trajectory.
+  ExperimentConfig same = maxwe_config();
+  same.endurance_map = writer.endurance_map;
+  const LifetimeResult reference = run_experiment(same);
+  same.resume_from = path;
+  const LifetimeResult resumed = run_experiment(same);
+  EXPECT_EQ(resumed.user_writes, reference.user_writes);
+  EXPECT_EQ(resumed.line_deaths, reference.line_deaths);
+  EXPECT_EQ(resumed.normalized, reference.normalized);
+
+  ExperimentConfig other = same;
+  other.endurance_map = ramp(2);
+  try {
+    run_experiment(other);
+    FAIL() << "expected a refusal to resume over another map";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("different configuration"),
               std::string::npos);

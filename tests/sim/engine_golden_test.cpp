@@ -46,18 +46,6 @@ struct Golden {
 
 // clang-format off
 constexpr Golden kGolden[] = {
-    {"uaa/agebased/freep/fast", 0x31feb087d68d61aeULL},
-    {"uaa/agebased/freep/slow", 0x31feb087d68d61aeULL},
-    {"uaa/agebased/maxwe/fast", 0x69e74593d5389118ULL},
-    {"uaa/agebased/maxwe/slow", 0x69e74593d5389118ULL},
-    {"uaa/agebased/none/fast", 0x562b3dd678434ad0ULL},
-    {"uaa/agebased/none/slow", 0x562b3dd678434ad0ULL},
-    {"uaa/agebased/pcd/fast", 0x12da09df7760ad49ULL},
-    {"uaa/agebased/pcd/slow", 0x12da09df7760ad49ULL},
-    {"uaa/agebased/ps-worst/fast", 0xb17f21de180a27c8ULL},
-    {"uaa/agebased/ps-worst/slow", 0xb17f21de180a27c8ULL},
-    {"uaa/agebased/ps/fast", 0x747e3720bb4032d3ULL},
-    {"uaa/agebased/ps/slow", 0x747e3720bb4032d3ULL},
     {"uaa/bwl/freep/fast", 0xc9d4c46aab5d2e30ULL},
     {"uaa/bwl/freep/slow", 0xc9d4c46aab5d2e30ULL},
     {"uaa/bwl/maxwe/fast", 0xc22b9ed6661afd43ULL},
@@ -142,18 +130,6 @@ constexpr Golden kGolden[] = {
     {"uaa/wawl/ps-worst/slow", 0xa4f9acc93d19b20bULL},
     {"uaa/wawl/ps/fast", 0xf71750ecb3c3ee47ULL},
     {"uaa/wawl/ps/slow", 0xf71750ecb3c3ee47ULL},
-    {"bpa/agebased/freep/fast", 0xa88c74e93e8cfa13ULL},
-    {"bpa/agebased/freep/slow", 0xa88c74e93e8cfa13ULL},
-    {"bpa/agebased/maxwe/fast", 0x54d29205e77155ccULL},
-    {"bpa/agebased/maxwe/slow", 0x54d29205e77155ccULL},
-    {"bpa/agebased/none/fast", 0x3b3444c693b6a859ULL},
-    {"bpa/agebased/none/slow", 0x3b3444c693b6a859ULL},
-    {"bpa/agebased/pcd/fast", 0xf00857a0b8d08a57ULL},
-    {"bpa/agebased/pcd/slow", 0xf00857a0b8d08a57ULL},
-    {"bpa/agebased/ps-worst/fast", 0xc612c3598b7aa895ULL},
-    {"bpa/agebased/ps-worst/slow", 0xc612c3598b7aa895ULL},
-    {"bpa/agebased/ps/fast", 0x960ec81ec7cc3f10ULL},
-    {"bpa/agebased/ps/slow", 0x960ec81ec7cc3f10ULL},
     {"bpa/bwl/freep/fast", 0xdfc4300967195e41ULL},
     {"bpa/bwl/freep/slow", 0xdfc4300967195e41ULL},
     {"bpa/bwl/maxwe/fast", 0x883dfdfa01564c06ULL},
@@ -238,18 +214,6 @@ constexpr Golden kGolden[] = {
     {"bpa/wawl/ps-worst/slow", 0xaebd53f0c8aaa275ULL},
     {"bpa/wawl/ps/fast", 0x29022a92d6249a9bULL},
     {"bpa/wawl/ps/slow", 0x29022a92d6249a9bULL},
-    {"zipf/agebased/freep/fast", 0xde2bf188fac3bdc6ULL},
-    {"zipf/agebased/freep/slow", 0xde2bf188fac3bdc6ULL},
-    {"zipf/agebased/maxwe/fast", 0xb54b4f5c465efe63ULL},
-    {"zipf/agebased/maxwe/slow", 0xb54b4f5c465efe63ULL},
-    {"zipf/agebased/none/fast", 0x3b6911adb7b0ea17ULL},
-    {"zipf/agebased/none/slow", 0x3b6911adb7b0ea17ULL},
-    {"zipf/agebased/pcd/fast", 0x724464e7859f6d33ULL},
-    {"zipf/agebased/pcd/slow", 0x724464e7859f6d33ULL},
-    {"zipf/agebased/ps-worst/fast", 0x04aab9d681750a0eULL},
-    {"zipf/agebased/ps-worst/slow", 0x04aab9d681750a0eULL},
-    {"zipf/agebased/ps/fast", 0xf4adb7e12f3fe473ULL},
-    {"zipf/agebased/ps/slow", 0xf4adb7e12f3fe473ULL},
     {"zipf/bwl/freep/fast", 0xa7aeb51af4c8bfb9ULL},
     {"zipf/bwl/freep/slow", 0xa7aeb51af4c8bfb9ULL},
     {"zipf/bwl/maxwe/fast", 0x8040b05417286d32ULL},
@@ -334,18 +298,6 @@ constexpr Golden kGolden[] = {
     {"zipf/wawl/ps-worst/slow", 0x800dd3b433d5c7f9ULL},
     {"zipf/wawl/ps/fast", 0x6121968661e6eaceULL},
     {"zipf/wawl/ps/slow", 0x6121968661e6eaceULL},
-    {"random/agebased/freep/fast", 0xf668ca11ef662b61ULL},
-    {"random/agebased/freep/slow", 0xf668ca11ef662b61ULL},
-    {"random/agebased/maxwe/fast", 0x0fab10c884f1f213ULL},
-    {"random/agebased/maxwe/slow", 0x0fab10c884f1f213ULL},
-    {"random/agebased/none/fast", 0x7b92294d987914f5ULL},
-    {"random/agebased/none/slow", 0x7b92294d987914f5ULL},
-    {"random/agebased/pcd/fast", 0xad28a9cd2ba1c7bcULL},
-    {"random/agebased/pcd/slow", 0xad28a9cd2ba1c7bcULL},
-    {"random/agebased/ps-worst/fast", 0x2c2be387e67189ccULL},
-    {"random/agebased/ps-worst/slow", 0x2c2be387e67189ccULL},
-    {"random/agebased/ps/fast", 0xaac5eff9cc95feaeULL},
-    {"random/agebased/ps/slow", 0xaac5eff9cc95feaeULL},
     {"random/bwl/freep/fast", 0xe8852c4bdc4b88c1ULL},
     {"random/bwl/freep/slow", 0xe8852c4bdc4b88c1ULL},
     {"random/bwl/maxwe/fast", 0x19fd86a6267bcf51ULL},
@@ -430,18 +382,6 @@ constexpr Golden kGolden[] = {
     {"random/wawl/ps-worst/slow", 0x874a603afa1a25a0ULL},
     {"random/wawl/ps/fast", 0xd880a0b525809408ULL},
     {"random/wawl/ps/slow", 0xd880a0b525809408ULL},
-    {"hotspot/agebased/freep/fast", 0xe358904fd0ea7148ULL},
-    {"hotspot/agebased/freep/slow", 0xe358904fd0ea7148ULL},
-    {"hotspot/agebased/maxwe/fast", 0xbc87b0843bfe7b03ULL},
-    {"hotspot/agebased/maxwe/slow", 0xbc87b0843bfe7b03ULL},
-    {"hotspot/agebased/none/fast", 0x646df1520d340abbULL},
-    {"hotspot/agebased/none/slow", 0x646df1520d340abbULL},
-    {"hotspot/agebased/pcd/fast", 0x422c4f40bd7b0a7dULL},
-    {"hotspot/agebased/pcd/slow", 0x422c4f40bd7b0a7dULL},
-    {"hotspot/agebased/ps-worst/fast", 0x760a8cecd1cce7d2ULL},
-    {"hotspot/agebased/ps-worst/slow", 0x760a8cecd1cce7d2ULL},
-    {"hotspot/agebased/ps/fast", 0xdb7ad18d43b8254bULL},
-    {"hotspot/agebased/ps/slow", 0xdb7ad18d43b8254bULL},
     {"hotspot/bwl/freep/fast", 0xe36bdcd4d727979cULL},
     {"hotspot/bwl/freep/slow", 0xe36bdcd4d727979cULL},
     {"hotspot/bwl/maxwe/fast", 0x0cbde75b54a55fc7ULL},
@@ -526,18 +466,6 @@ constexpr Golden kGolden[] = {
     {"hotspot/wawl/ps-worst/slow", 0x7aa10731ad7c4161ULL},
     {"hotspot/wawl/ps/fast", 0x1f38af7947170968ULL},
     {"hotspot/wawl/ps/slow", 0x1f38af7947170968ULL},
-    {"hotspot8/agebased/freep/fast", 0xbcca65643697f5d0ULL},
-    {"hotspot8/agebased/freep/slow", 0xbcca65643697f5d0ULL},
-    {"hotspot8/agebased/maxwe/fast", 0x942a5eb6c735b2e5ULL},
-    {"hotspot8/agebased/maxwe/slow", 0x942a5eb6c735b2e5ULL},
-    {"hotspot8/agebased/none/fast", 0x54bc4f8126409b27ULL},
-    {"hotspot8/agebased/none/slow", 0x54bc4f8126409b27ULL},
-    {"hotspot8/agebased/pcd/fast", 0xb43e16175abb628cULL},
-    {"hotspot8/agebased/pcd/slow", 0xb43e16175abb628cULL},
-    {"hotspot8/agebased/ps-worst/fast", 0xdf8b79052733a6f8ULL},
-    {"hotspot8/agebased/ps-worst/slow", 0xdf8b79052733a6f8ULL},
-    {"hotspot8/agebased/ps/fast", 0x0c3dc8c99b52ced2ULL},
-    {"hotspot8/agebased/ps/slow", 0x0c3dc8c99b52ced2ULL},
     {"hotspot8/bwl/freep/fast", 0x8844837779a81cd4ULL},
     {"hotspot8/bwl/freep/slow", 0x8844837779a81cd4ULL},
     {"hotspot8/bwl/maxwe/fast", 0x317c686741d432aeULL},
@@ -785,8 +713,8 @@ void expect_pinned(const std::string& group,
 void pin_grid(const std::string& group, const std::string& attack,
               std::uint64_t hotspot_working_set = 1) {
   std::map<std::string, std::uint64_t> computed;
-  for (const std::string wl : {"none", "startgap", "tlsr", "pcms", "bwl",
-                               "agebased", "twl", "wawl"}) {
+  for (const std::string wl :
+       {"none", "startgap", "tlsr", "pcms", "bwl", "twl", "wawl"}) {
     for (const std::string spare :
          {"none", "pcd", "ps", "ps-worst", "freep", "maxwe"}) {
       for (const bool fastpath : {true, false}) {

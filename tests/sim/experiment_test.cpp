@@ -2,6 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/maxwe.h"
+#include "nvm/endurance_map.h"
+#include "sim/endurance_cache.h"
+#include "sim/event_sim.h"
+#include "sim/parallel.h"
+#include "spare/freep.h"
+#include "spare/spare_scheme.h"
+
 namespace nvmsec {
 namespace {
 
@@ -317,6 +329,169 @@ TEST(ExperimentWorkspaceTest, LineJitterRunsMatchThroughReuse) {
     const LifetimeResult fresh = run_experiment(c);
     const LifetimeResult reused = run_experiment(c, nullptr, &ws);
     expect_identical(fresh, reused);
+  }
+}
+
+// An endurance map unlike any seed's model draw under small_event_config():
+// a shuffled linear ramp, as a map loaded from a file might be.
+std::shared_ptr<const EnduranceMap> foreign_map() {
+  Rng rng(2024);
+  return std::make_shared<const EnduranceMap>(EnduranceMap::linear(
+      DeviceGeometry::scaled(2048, 128), 300.0, 2500.0, true, rng));
+}
+
+// The pipeline maxwe_sim --load-map used to run on its own: jitter a copy
+// of the map from a fresh Rng(seed), build the scheme from the same
+// stream, run the event engine.
+LifetimeResult reference_map_run(const ExperimentConfig& config,
+                                 const EnduranceMap& loaded) {
+  auto map = std::make_shared<EnduranceMap>(loaded);
+  Rng rng(config.seed);
+  if (config.line_jitter_sigma > 0) {
+    map->apply_line_jitter(config.line_jitter_sigma, rng);
+  }
+  const std::uint64_t spare_lines = config.spare_lines();
+  std::unique_ptr<SpareScheme> spare;
+  if (config.spare_scheme == "none") spare = make_no_spare(map);
+  if (config.spare_scheme == "pcd") spare = make_pcd(map, spare_lines, rng);
+  if (config.spare_scheme == "ps") spare = make_ps(map, spare_lines, rng);
+  if (config.spare_scheme == "freep") spare = make_freep(map, spare_lines);
+  if (config.spare_scheme == "maxwe") spare = make_maxwe(map, MaxWeParams{});
+  UniformEventSimulator sim(map, *spare);
+  return sim.run();
+}
+
+TEST(SuppliedMapTest, RunEqualsTheLoadMapPipeline) {
+  const std::shared_ptr<const EnduranceMap> map = foreign_map();
+  for (const char* scheme : {"none", "pcd", "ps", "freep", "maxwe"}) {
+    for (const double jitter : {0.0, 0.1}) {
+      ExperimentConfig c = small_event_config();
+      c.endurance_map = map;
+      c.spare_scheme = scheme;
+      c.line_jitter_sigma = jitter;
+      c.seed = 7;
+      SCOPED_TRACE(std::string(scheme) + " jitter " + std::to_string(jitter));
+      expect_identical(reference_map_run(c, *map), run_experiment(c));
+    }
+  }
+}
+
+TEST(SuppliedMapTest, BatchesBypassTheMapCacheAtAnyJobCount) {
+  // At jobs > 1 the cache would hand back each seed's model draw; a
+  // supplied map must reach every run, and the cache must stay empty.
+  std::vector<ExperimentConfig> configs;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ExperimentConfig& c = configs.emplace_back(small_event_config());
+    c.endurance_map = foreign_map();
+    c.spare_scheme = "pcd";
+    c.seed = seed;
+  }
+  ExperimentConfig model_draw = configs[0];
+  model_draw.endurance_map = nullptr;
+  EXPECT_NE(run_experiment(model_draw).normalized,
+            run_experiment(configs[0]).normalized);
+  for (const std::size_t jobs : {1u, 4u}) {
+    EnduranceMapCache cache;
+    ParallelOptions options;
+    options.jobs = jobs;
+    options.cache = &cache;
+    const std::vector<LifetimeResult> results =
+        run_experiments(configs, options);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      SCOPED_TRACE("jobs " + std::to_string(jobs) + " run " +
+                   std::to_string(i));
+      expect_identical(run_experiment(configs[i]), results[i]);
+    }
+    EXPECT_EQ(cache.size(), 0u);
+  }
+}
+
+TEST(SuppliedMapTest, RunsThroughAWorkspaceWithoutTouchingItsMap) {
+  ExperimentWorkspace ws;
+  ExperimentConfig drawn = small_event_config();
+  drawn.spare_scheme = "maxwe";
+  ExperimentConfig supplied = drawn;
+  supplied.endurance_map = foreign_map();
+  for (const ExperimentConfig* c : {&drawn, &supplied, &drawn, &supplied}) {
+    expect_identical(run_experiment(*c), run_experiment(*c, nullptr, &ws));
+  }
+}
+
+TEST(SuppliedMapTest, GeometryMismatchThrows) {
+  ExperimentConfig c = small_event_config();
+  c.endurance_map = foreign_map();
+  c.geometry = DeviceGeometry::scaled(1024, 64);
+  EXPECT_THROW(run_experiment(c), std::invalid_argument);
+}
+
+TEST(ConfigFingerprintTest, SuppliedMapIsHashed) {
+  ExperimentConfig a = small_event_config();
+  a.endurance_map = foreign_map();
+  ExperimentConfig b = a;
+  b.endurance_map = std::make_shared<const EnduranceMap>(*a.endurance_map);
+  EXPECT_EQ(config_fingerprint(a), config_fingerprint(b));
+  auto other = std::make_shared<EnduranceMap>(*a.endurance_map);
+  other->scale_region_endurance(RegionId{5}, 1.5);
+  b.endurance_map = other;
+  EXPECT_NE(config_fingerprint(a), config_fingerprint(b));
+  // Per-line values count too, even where they equal the region's.
+  auto per_line = std::make_shared<EnduranceMap>(*a.endurance_map);
+  per_line->set_line_endurance(PhysLineAddr{0},
+                               per_line->line_endurance(PhysLineAddr{0}));
+  b.endurance_map = per_line;
+  EXPECT_NE(config_fingerprint(a), config_fingerprint(b));
+  b.endurance_map = nullptr;
+  EXPECT_NE(config_fingerprint(a), config_fingerprint(b));
+}
+
+TEST(ConfigFingerprintTest, ConfigsWithoutAMapKeepTheirFingerprint) {
+  // Pinned before the map field existed: checkpoints and sweep and fleet
+  // journals written then must still resume.
+  EXPECT_EQ(config_fingerprint(ExperimentConfig{}), 0x9a09221cfd90db6cULL);
+  ExperimentConfig c = scaled_stochastic_config(512, 32, 300.0);
+  c.spare_scheme = "maxwe";
+  EXPECT_EQ(config_fingerprint(c), 0xa843f5e34487b75cULL);
+}
+
+TEST(MaxWeAblationNamesTest, EachNameIsAHandBuiltMaxWe) {
+  struct Variant {
+    const char* name;
+    SpareSelectionPolicy selection;
+    MatchingPolicy matching;
+  };
+  for (const Variant& v :
+       {Variant{"maxwe-identity", SpareSelectionPolicy::kWeakPriority,
+                MatchingPolicy::kIdentity},
+        Variant{"maxwe-random", SpareSelectionPolicy::kRandomRegions,
+                MatchingPolicy::kWeakStrong},
+        Variant{"maxwe-random-identity", SpareSelectionPolicy::kRandomRegions,
+                MatchingPolicy::kIdentity}}) {
+    for (const double swr_fraction : {0.9, 1.0}) {
+      ExperimentConfig c = small_event_config();
+      c.spare_scheme = v.name;
+      c.swr_fraction = swr_fraction;
+      c.seed = 3;
+      Rng rng(c.seed);
+      auto map = std::make_shared<EnduranceMap>(EnduranceMap::from_model(
+          c.geometry, EnduranceModel(c.endurance), rng));
+      MaxWeParams params;
+      params.swr_fraction = swr_fraction;
+      params.selection = v.selection;
+      params.matching = v.matching;
+      const auto scheme = make_maxwe(map, params);
+      UniformEventSimulator sim(map, *scheme);
+      SCOPED_TRACE(std::string(v.name) + " q " + std::to_string(swr_fraction));
+      expect_identical(sim.run(), run_experiment(c));
+    }
+  }
+}
+
+TEST(MaxWeAblationNamesTest, OtherMaxWeNamesAreRejected) {
+  for (const char* name :
+       {"maxwe-", "maxwe-bogus", "maxwe-identity-random", "maxwe-Random"}) {
+    ExperimentConfig c = small_event_config();
+    c.spare_scheme = name;
+    EXPECT_THROW(run_experiment(c), std::invalid_argument) << name;
   }
 }
 

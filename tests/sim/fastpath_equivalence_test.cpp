@@ -128,8 +128,8 @@ bool counts_path_engages(const ExperimentConfig& config) {
 void sweep_attack(const std::string& attack) {
   const bool distribution_equivalent =
       attack_batch_contract(attack) == BatchContract::kDistributionEquivalent;
-  for (const std::string wl : {"none", "startgap", "tlsr", "pcms", "bwl",
-                               "agebased", "twl", "wawl"}) {
+  for (const std::string wl :
+       {"none", "startgap", "tlsr", "pcms", "bwl", "twl", "wawl"}) {
     for (const std::string spare : {"none", "pcd", "ps", "freep", "maxwe"}) {
       ExperimentConfig config = base_config();
       config.attack = attack;

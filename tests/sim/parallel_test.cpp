@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "bench_common.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "sim/endurance_cache.h"
@@ -268,6 +269,55 @@ TEST(RunExperimentsTest, ExplicitCacheIsUsedAndStillBitIdentical) {
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.hits(), 6u);
   EXPECT_EQ(cache.size(), 2u);
+}
+
+// bench::run_over_seeds, the one batch behind every paper bench.
+std::vector<ExperimentConfig> bench_grid() {
+  std::vector<ExperimentConfig> configs;
+  for (const char* scheme : {"none", "pcd", "maxwe-random"}) {
+    ExperimentConfig& c = configs.emplace_back();
+    c.geometry = DeviceGeometry::scaled(1024, 64);
+    c.endurance.endurance_at_mean = 500.0;
+    c.spare_scheme = scheme;
+  }
+  configs[1].line_jitter_sigma = 0.1;
+  return configs;
+}
+
+TEST(RunOverSeedsTest, EachConfigAndSeedMatchesADirectRun) {
+  const std::vector<ExperimentConfig> configs = bench_grid();
+  ParallelOptions one_job;
+  one_job.jobs = 1;
+  const auto runs = bench::run_over_seeds(configs, 3, 40, one_job);
+  ASSERT_EQ(runs.size(), configs.size());
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    ASSERT_EQ(runs[c].size(), 3u);
+    for (std::uint64_t s = 0; s < 3; ++s) {
+      ExperimentConfig direct = configs[c];
+      direct.seed = 40 + s;
+      expect_identical(runs[c][s], run_experiment(direct), c * 3 + s);
+    }
+  }
+}
+
+TEST(RunOverSeedsTest, SameResultsAtJobsOneAndFour) {
+  const std::vector<ExperimentConfig> configs = bench_grid();
+  ParallelOptions one_job;
+  one_job.jobs = 1;
+  const auto serial = bench::run_over_seeds(configs, 3, 40, one_job);
+  const auto parallel = bench::run_over_seeds(configs, 3, 40, four_jobs());
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t c = 0; c < serial.size(); ++c) {
+    ASSERT_EQ(parallel[c].size(), serial[c].size());
+    for (std::size_t s = 0; s < serial[c].size(); ++s) {
+      expect_identical(parallel[c][s], serial[c][s], c * 3 + s);
+    }
+  }
+}
+
+TEST(RunOverSeedsTest, ZeroSeedsThrows) {
+  EXPECT_THROW(bench::run_over_seeds(bench_grid(), 0, 42, {}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -266,7 +266,7 @@ TEST(BatchHorizonTest, PerWriteStateLevelersDeclineBatching) {
   params.swap_interval = 5;
   params.tlsr_subregion_lines = 16;
   EnduranceView view(64, 150.0);
-  for (const std::string name : {"tlsr", "wawl", "agebased"}) {
+  for (const std::string name : {"tlsr", "wawl"}) {
     auto wl = make_wear_leveler(name, 64, view, params, rng);
     EXPECT_EQ(wl->writes_until_remap(), 0u) << name;
     EXPECT_THROW(wl->commit_batched_writes(1), std::logic_error) << name;
@@ -310,8 +310,8 @@ const std::vector<std::string>& horizon_levelers() {
   static const std::vector<std::string> kNames = {
       "none",           "startgap",       "tlsr",
       "pcms",           "bwl",            "wawl",
-      "twl",            "agebased",       "adaptive(tlsr)",
-      "adaptive(wawl)", "adaptive(startgap)"};
+      "twl",            "adaptive(tlsr)", "adaptive(wawl)",
+      "adaptive(startgap)"};
   return kNames;
 }
 
@@ -389,9 +389,7 @@ TEST(BatchHorizonTest, PerAddressHorizonMatchesPerWritePath) {
     for (const std::uint64_t seed : {3u, 17u}) {
       drive_horizon_pair(name, seed, committed);
     }
-    if (name != "agebased") {
-      EXPECT_GT(committed, 0u) << name << " never batched";
-    }
+    EXPECT_GT(committed, 0u) << name << " never batched";
   }
 }
 
@@ -520,24 +518,6 @@ TEST(CadenceRestoreTest, CountersAtTheIntervalAreRefused) {
     }
     // The refused load left the last good counter, not an underflow.
     EXPECT_EQ(wl->writes_until_remap(), 0u) << name;
-  }
-}
-
-TEST(CadenceRestoreTest, AgeBasedCounterAtTheIntervalIsRefused) {
-  Rng rng(1);
-  const auto wl = make_small("agebased", rng);
-  for (const std::uint64_t since : {4u, 5u}) {
-    StateWriter w = identity_prefix(64);
-    w.u64(since);
-    w.vec_u64(std::vector<std::uint64_t>(64, 0));  // ages
-    w.u64(8);                                      // buckets
-    std::vector<std::uint32_t> youngest(64);
-    std::iota(youngest.begin(), youngest.end(), 0u);
-    w.vec_u32(youngest);
-    for (int b = 1; b < 8; ++b) w.vec_u32({});
-    const Status st = load(*wl, w);
-    EXPECT_EQ(st.ok(), since < 5) << "since=" << since;
-    if (!st.ok()) EXPECT_EQ(st.code(), StatusCode::kCorruption);
   }
 }
 

@@ -52,7 +52,10 @@ void add_experiment_flags(CliParser& cli, const std::string& lines_default,
                "escalation bound in steps either direction", "3");
   cli.add_flag("wl", "none|startgap|tlsr|pcms|bwl|wawl|twl", "none");
   cli.add_flag("swap-interval", "wear-leveler remap cadence", "100");
-  cli.add_flag("spare", "none | pcd | ps | ps-worst | freep | maxwe",
+  cli.add_flag("spare",
+               "none | pcd | ps | ps-worst | freep | maxwe | maxwe-identity "
+               "| maxwe-random | maxwe-random-identity (the last three are "
+               "Max-WE ablations)",
                "none");
   cli.add_flag("spare-fraction", "spare share of capacity", "0.10");
   cli.add_flag("swr-fraction", "Max-WE SWR share of spares", "0.90");

@@ -39,14 +39,32 @@ if(loaded_lifetime STREQUAL "" OR
                       "generated-map freep lifetime '${generated_lifetime}'")
 endif()
 
-# Flags the load-map pipeline cannot honour are refused, not ignored.
+# A loaded map goes through the one run_experiment pipeline, so it runs
+# under every mode and leveler ...
 execute_process(
   COMMAND ${TOOL} --load-map ${WORK_DIR}/roundtrip_map.csv --spare maxwe
-          --mode stochastic
+          --mode stochastic --attack bpa --wl tlsr
   RESULT_VARIABLE load_result OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(load_result EQUAL 0)
-  message(FATAL_ERROR "load-map accepted --mode stochastic: ${out}")
+if(NOT load_result EQUAL 0 OR NOT out MATCHES "normalized lifetime")
+  message(FATAL_ERROR "load-map stochastic bpa/tlsr run failed: "
+                      "${load_result} ${out} ${err}")
 endif()
-if(NOT err MATCHES "--mode")
-  message(FATAL_ERROR "load-map refusal does not name --mode: ${err}")
+
+# ... and in seed sweeps, where more than one thread must still run on the
+# loaded map rather than on a cached model draw of each seed.
+foreach(jobs 1 2)
+  execute_process(
+    COMMAND ${TOOL} --load-map ${WORK_DIR}/roundtrip_map.csv --spare ps
+            --seeds 2 --jobs ${jobs}
+    RESULT_VARIABLE load_result OUTPUT_VARIABLE sweep_out_${jobs}
+    ERROR_VARIABLE err)
+  if(NOT load_result EQUAL 0 OR NOT sweep_out_${jobs} MATCHES
+     "normalized lifetime")
+    message(FATAL_ERROR "load-map --seeds 2 --jobs ${jobs} failed: "
+                        "${load_result} ${sweep_out_${jobs}} ${err}")
+  endif()
+endforeach()
+if(NOT sweep_out_1 STREQUAL sweep_out_2)
+  message(FATAL_ERROR "load-map sweep differs between --jobs 1 and 2:\n"
+                      "${sweep_out_1}\n${sweep_out_2}")
 endif()

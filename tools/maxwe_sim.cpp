@@ -17,15 +17,12 @@
 #include <filesystem>
 #include <iostream>
 #include <memory>
-#include <utility>
 
 #include "experiment_flags.h"
 #include "nvm/endurance_io.h"
 #include "obs/session.h"
-#include "sim/event_sim.h"
 #include "sim/experiment.h"
 #include "sim/parallel.h"
-#include "spare/spare_scheme.h"
 #include "util/cli.h"
 #include "util/log.h"
 #include "util/stats.h"
@@ -45,15 +42,6 @@ std::string derive_snapshot_path(const std::string& metrics_path) {
   return stem + ".snapshots.jsonl";
 }
 
-// Run-level results published after either engine finishes.
-void publish_result(nvmsec::MetricsRegistry* metrics,
-                    const nvmsec::LifetimeResult& r) {
-  if (metrics == nullptr) return;
-  metrics->gauge("result.normalized_lifetime").set(r.normalized);
-  metrics->gauge("result.ideal_lifetime").set(r.ideal_lifetime);
-  metrics->gauge("result.failed").set(r.failed ? 1.0 : 0.0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -71,7 +59,9 @@ int main(int argc, char** argv) {
                "worker threads for --seeds/--banks sweeps (0 = all cores, "
                "1 = the calling thread only)", "0");
   cli.add_flag("save-map", "write the endurance map CSV here and exit", "");
-  cli.add_flag("load-map", "read the endurance map from this CSV", "");
+  cli.add_flag("load-map",
+               "run on the endurance map in this CSV instead of drawing one "
+               "(geometry from the file)", "");
   cli.add_flag("metrics-out", "write run metrics (counters/gauges) here", "");
   cli.add_flag("metrics-format", "metrics file format: json | csv", "json");
   cli.add_flag("trace-out",
@@ -131,41 +121,6 @@ int main(int argc, char** argv) {
     const std::string checkpoint_out = cli.get_string("checkpoint-out");
     const WriteCount checkpoint_interval = cli.get_uint("checkpoint-interval");
     const bool resume = cli.get_bool("resume");
-    const std::string load_map = cli.get_string("load-map");
-    if (!load_map.empty()) {
-      // A loaded map runs through a pipeline of its own: the event engine
-      // at uniform rates with the chosen spare scheme and nothing else.
-      // Refuse every flag it would otherwise silently ignore.
-      const std::pair<const char*, bool> ignored[] = {
-          {"--mode", config.mode != SimulationMode::kUniformEvent},
-          {"--attack-phases", !cli.get_string("attack-phases").empty()},
-          {"--attack-onset", cli.get_uint("attack-onset") > 0},
-          {"--attack", config.attack != "uaa" && config.attack != "random"},
-          {"--wl", config.wear_leveler != "none"},
-          {"--seeds", seeds > 1},
-          {"--banks", banks > 1},
-          {"--max-writes", config.max_user_writes > 0},
-          {"--buffer-lines", config.dram_buffer_lines > 0},
-          {"--detect", config.detect},
-          {"--adaptive", config.adaptive},
-          {"--fault-stuck-at", config.fault.device.stuck_at_lines > 0},
-          {"--fault-early-death", config.fault.device.early_death_lines > 0},
-          {"--fault-outlier-regions",
-           config.fault.device.outlier_regions > 0},
-          {"--fault-flip-interval", config.fault.metadata.flip_interval > 0},
-          {"--checkpoint-out", !checkpoint_out.empty()},
-          {"--checkpoint-interval", checkpoint_interval > 0},
-          {"--resume", resume},
-      };
-      for (const auto& [flag, given] : ignored) {
-        if (given) {
-          std::cerr << "error: --load-map runs uniform-rate event-mode "
-                       "wear (uaa/random) with a spare scheme only; drop "
-                    << flag << "\n";
-          return 1;
-        }
-      }
-    }
     if (resume && checkpoint_out.empty()) {
       std::cerr << "error: --resume needs --checkpoint-out\n";
       return 1;
@@ -232,32 +187,12 @@ int main(int argc, char** argv) {
                 << " region endurances to " << path << "\n";
       return 0;
     }
-    // A loaded map replaces the generated one via a dedicated run below:
-    // run_experiment regenerates the map from the model, so this replicates
-    // its event-mode pipeline over the loaded map — optional line jitter,
-    // then the spare scheme run_experiment would build.
-    if (!load_map.empty()) {
-      log_info() << "loading endurance map from " << load_map;
-      auto map =
-          std::make_shared<EnduranceMap>(load_endurance_csv(load_map).take());
-      config.geometry = map->geometry();
-      Rng rng(config.seed);
-      if (config.line_jitter_sigma > 0) {
-        map->apply_line_jitter(config.line_jitter_sigma, rng);
-      }
-      const std::unique_ptr<SpareScheme> spare =
-          build_spare_scheme(config, map, rng);
-      UniformEventSimulator sim(map, *spare);
-      sim.set_observer(config.observer);
-      const LifetimeResult r = sim.run();
-      if (obs) {
-        publish_result(obs->metrics(), r);
-        obs->finalize();
-      }
-      std::cout << "normalized lifetime: " << 100.0 * r.normalized
-                << "%  (user writes " << r.user_writes << ", line deaths "
-                << r.line_deaths << ")\n";
-      return 0;
+    // A loaded map stands in for the model draw in every run below.
+    if (const std::string path = cli.get_string("load-map"); !path.empty()) {
+      log_info() << "loading endurance map from " << path;
+      config.endurance_map = std::make_shared<const EnduranceMap>(
+          load_endurance_csv(path).take());
+      config.geometry = config.endurance_map->geometry();
     }
 
     // Multi-bank module lifetime: banks fan out across --jobs workers.
@@ -297,7 +232,11 @@ int main(int argc, char** argv) {
 
     const LifetimeResult r = run_experiment(config);
     if (obs) {
-      publish_result(obs->metrics(), r);
+      if (MetricsRegistry* metrics = obs->metrics()) {
+        metrics->gauge("result.normalized_lifetime").set(r.normalized);
+        metrics->gauge("result.ideal_lifetime").set(r.ideal_lifetime);
+        metrics->gauge("result.failed").set(r.failed ? 1.0 : 0.0);
+      }
       obs->finalize();
       if (!obs_config.metrics_path.empty()) {
         std::cout << "metrics:   " << obs_config.metrics_path << "\n";
