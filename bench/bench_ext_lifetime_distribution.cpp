@@ -9,6 +9,7 @@
 // an order statistic deep in the distribution's bulk.
 
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/experiment.h"
@@ -24,6 +25,7 @@ int bench_main(int argc, char** argv) {
   cli.add_flag("regions", "region count", "512");
   if (!cli.parse(argc, argv)) return 0;
   const std::uint64_t draws = cli.get_uint("draws");
+  if (draws == 0) throw std::invalid_argument("--draws must be at least 1");
 
   Table table({"scheme", "p5 (%)", "median (%)", "p95 (%)", "mean (%)",
                "rel. spread (p95-p5)/median"});

@@ -15,8 +15,43 @@ fi
 WORK=$(mktemp -d)
 trap 'rm -rf "${WORK}"' EXIT
 
-# A run big enough to survive until the SIGKILL lands, checkpointing often.
-CONFIG=(--mode stochastic --lines 2048 --regions 128 --endurance-mean 2000
+file_size() {
+  wc -c < "$1" | tr -d ' '
+}
+
+# run_and_kill <checkpoint> <bytes> <log> <command...>: start the command,
+# SIGKILL it once <checkpoint> outgrows <bytes>, and fail unless the kill is
+# what ended it (a run that finishes first would test a clean exit) and
+# something was checkpointed before it.
+run_and_kill() {
+  local ckpt=$1 bytes=$2 log=$3 pid status
+  shift 3
+  "$@" > "${log}" 2>&1 &
+  pid=$!
+  for _ in $(seq 1 3000); do
+    if [[ -f ${ckpt} ]] && [[ $(file_size "${ckpt}") -gt ${bytes} ]]; then
+      break
+    fi
+    kill -0 "${pid}" 2>/dev/null || break
+    sleep 0.01
+  done
+  kill -KILL "${pid}" 2>/dev/null
+  wait "${pid}" 2>/dev/null
+  status=$?
+  if [[ ${status} -ne 137 ]]; then
+    echo "FAIL: run exited with status ${status} before the kill landed" >&2
+    exit 1
+  fi
+  if [[ ! -f ${ckpt} ]] || [[ $(file_size "${ckpt}") -le ${bytes} ]]; then
+    echo "FAIL: nothing was checkpointed before the kill" >&2
+    exit 1
+  fi
+  echo "      killed pid ${pid}"
+}
+
+# A run long enough (~0.4 s) to outlive the poll that kills it, checkpointing
+# often.
+CONFIG=(--mode stochastic --lines 2048 --regions 128 --endurance-mean 20000
         --spare maxwe --seed 11)
 CKPT=${WORK}/crash.ckpt
 
@@ -27,24 +62,9 @@ if ! "${TOOL}" "${CONFIG[@]}" > "${WORK}/ref.out"; then
 fi
 
 echo "[2/3] checkpointing run, SIGKILL once the first checkpoint lands..."
-"${TOOL}" "${CONFIG[@]}" --checkpoint-out "${CKPT}" \
-  --checkpoint-interval 20000 > "${WORK}/killed.out" 2>&1 &
-PID=$!
-for _ in $(seq 1 200); do
-  [[ -f ${CKPT} ]] && break
-  kill -0 "${PID}" 2>/dev/null || break
-  sleep 0.05
-done
-if kill -KILL "${PID}" 2>/dev/null; then
-  echo "      killed pid ${PID}"
-else
-  echo "      note: run finished before the kill landed (still a valid resume)"
-fi
-wait "${PID}" 2>/dev/null
-if [[ ! -f ${CKPT} ]]; then
-  echo "FAIL: no checkpoint was written before the process died" >&2
-  exit 1
-fi
+run_and_kill "${CKPT}" 0 "${WORK}/killed.out" \
+  "${TOOL}" "${CONFIG[@]}" --checkpoint-out "${CKPT}" \
+  --checkpoint-interval 20000
 
 # The atomic writer guarantees the checkpoint under its final name is whole;
 # a temp file from the torn write may remain and must not be consulted.
@@ -65,15 +85,11 @@ echo "PASS: resumed run is byte-identical to the uninterrupted run"
 # The sweep checkpoint is an append-only MXWEJRNL journal: its 20-byte
 # header lands when the sweep starts and one CRC-framed record per finished
 # run follows, so "a run was recorded" means "the file outgrew its header".
-# Sixteen ~15 ms runs, polled every 10 ms, so the kill lands mid-sweep.
-SWEEP=(--mode stochastic --lines 2048 --regions 128 --endurance-mean 2000
-       --spare maxwe --seed 11 --seeds 16 --jobs 1)
+# Eight ~0.1 s runs, polled every 10 ms, so the kill lands mid-sweep.
+SWEEP=(--mode stochastic --lines 2048 --regions 128 --endurance-mean 20000
+       --spare maxwe --seed 11 --seeds 8 --jobs 1)
 SWEEP_CKPT=${WORK}/sweep.ckpt
 JOURNAL_HEADER_BYTES=20
-
-file_size() {
-  wc -c < "$1" | tr -d ' '
-}
 
 echo "[sweep 1/3] reference sweep (uninterrupted)..."
 if ! "${TOOL}" "${SWEEP[@]}" > "${WORK}/sweep_ref.out"; then
@@ -82,28 +98,9 @@ if ! "${TOOL}" "${SWEEP[@]}" > "${WORK}/sweep_ref.out"; then
 fi
 
 echo "[sweep 2/3] checkpointing sweep, SIGKILL after the first recorded run..."
-"${TOOL}" "${SWEEP[@]}" --checkpoint-out "${SWEEP_CKPT}" \
-  > "${WORK}/sweep_killed.out" 2>&1 &
-PID=$!
-for _ in $(seq 1 2000); do
-  if [[ -f ${SWEEP_CKPT} ]] && \
-     [[ $(file_size "${SWEEP_CKPT}") -gt ${JOURNAL_HEADER_BYTES} ]]; then
-    break
-  fi
-  kill -0 "${PID}" 2>/dev/null || break
-  sleep 0.01
-done
-if kill -KILL "${PID}" 2>/dev/null; then
-  echo "      killed pid ${PID}"
-else
-  echo "      note: sweep finished before the kill landed (still a valid resume)"
-fi
-wait "${PID}" 2>/dev/null
-if [[ ! -f ${SWEEP_CKPT} ]] || \
-   [[ $(file_size "${SWEEP_CKPT}") -le ${JOURNAL_HEADER_BYTES} ]]; then
-  echo "FAIL: no sweep run was recorded before the process died" >&2
-  exit 1
-fi
+run_and_kill "${SWEEP_CKPT}" "${JOURNAL_HEADER_BYTES}" \
+  "${WORK}/sweep_killed.out" \
+  "${TOOL}" "${SWEEP[@]}" --checkpoint-out "${SWEEP_CKPT}"
 if ! head -c 8 "${SWEEP_CKPT}" | grep -q "MXWEJRNL"; then
   echo "FAIL: sweep checkpoint does not carry the MXWEJRNL journal magic" >&2
   exit 1
@@ -143,25 +140,9 @@ if ! "${TOOL}" "${CONFIG[@]}" --events-out "${EV_REF}" \
 fi
 
 echo "[events 2/3] recording run, SIGKILL once the first checkpoint lands..."
-"${TOOL}" "${CONFIG[@]}" --events-out "${EV_CRASH}" \
-  --checkpoint-out "${EV_CKPT}" --checkpoint-interval 20000 \
-  > "${WORK}/events_killed.out" 2>&1 &
-PID=$!
-for _ in $(seq 1 200); do
-  [[ -f ${EV_CKPT} ]] && break
-  kill -0 "${PID}" 2>/dev/null || break
-  sleep 0.05
-done
-if kill -KILL "${PID}" 2>/dev/null; then
-  echo "      killed pid ${PID}"
-else
-  echo "      note: run finished before the kill landed (still a valid resume)"
-fi
-wait "${PID}" 2>/dev/null
-if [[ ! -f ${EV_CKPT} ]]; then
-  echo "FAIL: no checkpoint was written before the process died" >&2
-  exit 1
-fi
+run_and_kill "${EV_CKPT}" 0 "${WORK}/events_killed.out" \
+  "${TOOL}" "${CONFIG[@]}" --events-out "${EV_CRASH}" \
+  --checkpoint-out "${EV_CKPT}" --checkpoint-interval 20000
 
 echo "[events 3/3] resume; the log rewinds to the checkpoint and replays..."
 if ! "${TOOL}" "${CONFIG[@]}" --events-out "${EV_CRASH}" \
@@ -185,24 +166,9 @@ echo "PASS: resumed event log is byte-identical to the uninterrupted run's"
 FP_CKPT=${WORK}/fastpath.ckpt
 
 echo "[fastpath 1/2] fast-path run, SIGKILL once the first checkpoint lands..."
-"${TOOL}" "${CONFIG[@]}" --checkpoint-out "${FP_CKPT}" \
-  --checkpoint-interval 20000 > "${WORK}/fp_killed.out" 2>&1 &
-PID=$!
-for _ in $(seq 1 200); do
-  [[ -f ${FP_CKPT} ]] && break
-  kill -0 "${PID}" 2>/dev/null || break
-  sleep 0.05
-done
-if kill -KILL "${PID}" 2>/dev/null; then
-  echo "      killed pid ${PID}"
-else
-  echo "      note: run finished before the kill landed (still a valid resume)"
-fi
-wait "${PID}" 2>/dev/null
-if [[ ! -f ${FP_CKPT} ]]; then
-  echo "FAIL: no checkpoint was written before the process died" >&2
-  exit 1
-fi
+run_and_kill "${FP_CKPT}" 0 "${WORK}/fp_killed.out" \
+  "${TOOL}" "${CONFIG[@]}" --checkpoint-out "${FP_CKPT}" \
+  --checkpoint-interval 20000
 
 echo "[fastpath 2/2] resume with --no-fastpath (mode switch across resume)..."
 if ! "${TOOL}" "${CONFIG[@]}" --checkpoint-out "${FP_CKPT}" --resume \
@@ -225,7 +191,7 @@ echo "PASS: --no-fastpath resume is byte-identical to the fast-path reference"
 # checkpoints at the same cadence (to a separate file): checkpoint
 # boundaries cap the sampling chunks, so the cadence is part of the
 # trajectory being reproduced.
-ZCONFIG=(--mode stochastic --lines 2048 --regions 128 --endurance-mean 2000
+ZCONFIG=(--mode stochastic --lines 2048 --regions 128 --endurance-mean 500000
          --spare maxwe --attack zipf --seed 11)
 Z_CKPT=${WORK}/zipf.ckpt
 Z_REF_CKPT=${WORK}/zipf_ref.ckpt
@@ -238,24 +204,9 @@ if ! "${TOOL}" "${ZCONFIG[@]}" --checkpoint-out "${Z_REF_CKPT}" \
 fi
 
 echo "[zipf 2/3] checkpointing zipf run, SIGKILL once a checkpoint lands..."
-"${TOOL}" "${ZCONFIG[@]}" --checkpoint-out "${Z_CKPT}" \
-  --checkpoint-interval 20000 > "${WORK}/zipf_killed.out" 2>&1 &
-PID=$!
-for _ in $(seq 1 200); do
-  [[ -f ${Z_CKPT} ]] && break
-  kill -0 "${PID}" 2>/dev/null || break
-  sleep 0.05
-done
-if kill -KILL "${PID}" 2>/dev/null; then
-  echo "      killed pid ${PID}"
-else
-  echo "      note: run finished before the kill landed (still a valid resume)"
-fi
-wait "${PID}" 2>/dev/null
-if [[ ! -f ${Z_CKPT} ]]; then
-  echo "FAIL: no checkpoint was written before the process died" >&2
-  exit 1
-fi
+run_and_kill "${Z_CKPT}" 0 "${WORK}/zipf_killed.out" \
+  "${TOOL}" "${ZCONFIG[@]}" --checkpoint-out "${Z_CKPT}" \
+  --checkpoint-interval 20000
 
 echo "[zipf 3/3] same-mode resume (must be byte-identical)..."
 if ! "${TOOL}" "${ZCONFIG[@]}" --checkpoint-out "${Z_CKPT}" --resume \

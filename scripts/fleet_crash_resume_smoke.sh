@@ -29,10 +29,10 @@ file_size() {
   wc -c < "$1" | tr -d ' '
 }
 
-# Small devices, small shards: the campaign runs long enough for the kill
-# to land while shards complete (and journal a record) every few
-# milliseconds.
-CONFIG=(--devices "${DEVICES}" --shard-size 64 --lines 256 --regions 16
+# Small shards of 4096-line devices: 2000 devices run for ~0.4 s, long
+# enough to outlive the poll that kills them, while shards complete (and
+# journal a record) every few milliseconds.
+CONFIG=(--devices "${DEVICES}" --shard-size 64 --lines 4096 --regions 256
         --endurance-mean 200 --spare maxwe)
 CKPT=${WORK}/fleet.ckpt
 JOURNAL_HEADER_BYTES=20
@@ -48,24 +48,27 @@ echo "[2/4] journaling campaign, SIGKILL once the first shard record lands..."
 "${TOOL}" "${CONFIG[@]}" --jobs "${JOBS}" --checkpoint-out "${CKPT}" \
   --out "${WORK}/killed.json" > "${WORK}/killed.log" 2>&1 &
 PID=$!
-for _ in $(seq 1 400); do
+for _ in $(seq 1 3000); do
   if [[ -f ${CKPT} ]] && \
      [[ $(file_size "${CKPT}") -gt ${JOURNAL_HEADER_BYTES} ]]; then
     break
   fi
   kill -0 "${PID}" 2>/dev/null || break
-  sleep 0.05
+  sleep 0.01
 done
-if kill -KILL "${PID}" 2>/dev/null; then
-  echo "      killed pid ${PID}"
-else
-  echo "      note: campaign finished before the kill landed (still a valid resume)"
-fi
+kill -KILL "${PID}" 2>/dev/null
 wait "${PID}" 2>/dev/null
-if [[ ! -f ${CKPT} ]]; then
-  echo "FAIL: no journal was written before the process died" >&2
+STATUS=$?
+if [[ ${STATUS} -ne 137 ]]; then
+  echo "FAIL: campaign exited with status ${STATUS} before the kill landed" >&2
   exit 1
 fi
+if [[ ! -f ${CKPT} ]] || \
+   [[ $(file_size "${CKPT}") -le ${JOURNAL_HEADER_BYTES} ]]; then
+  echo "FAIL: no shard record was journaled before the kill" >&2
+  exit 1
+fi
+echo "      killed pid ${PID}"
 if ! head -c 8 "${CKPT}" | grep -q "MXWEJRNL"; then
   echo "FAIL: checkpoint file does not carry the MXWEJRNL journal magic" >&2
   exit 1

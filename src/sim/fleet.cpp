@@ -263,6 +263,8 @@ void validate_spec(const FleetSpec& spec) {
           "run_fleet: attack mix entries need a name and a positive weight");
     }
   }
+  // Refuses an unknown attack name before any device runs into it.
+  (void)fleet_sampling_contract(spec);
 }
 
 std::uint64_t fnv_mix(std::uint64_t h, const void* data, std::size_t size) {

@@ -179,6 +179,34 @@ TEST(ObsSessionEventsTest, ResumeRefusesTraceSink) {
   EXPECT_THROW(ObsSession{config}, std::invalid_argument);
 }
 
+TEST(ObsSessionTraceTest, FinalizeCommitsAClosedJsonArray) {
+  const std::string path = temp_path("obs_session_trace_test.json");
+  std::filesystem::remove(path);
+  {
+    ObsConfig config;
+    config.trace_path = path;
+    ObsSession session(config);
+    ExperimentConfig run;
+    run.geometry = DeviceGeometry::scaled(2048, 128);
+    run.endurance.endurance_at_mean = 1000.0;
+    run.mode = SimulationMode::kUniformEvent;
+    run.spare_scheme = "maxwe";
+    run.observer = session.observer();
+    (void)run_experiment(run);
+    // The trace streams to a temp file; only finalize puts it in place.
+    EXPECT_FALSE(std::filesystem::exists(path));
+    session.finalize();
+  }
+  const JsonValue trace = parse_json(slurp(path));
+  ASSERT_TRUE(trace.is_array());
+  ASSERT_FALSE(trace.array.empty());
+  for (const JsonValue& e : trace.array) {
+    EXPECT_FALSE(e.str("name").empty());
+    EXPECT_FALSE(e.str("ph").empty());
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(EventLogIntegrationTest, MaxWeRunEmitsDecisionHistory) {
   ExperimentConfig config;
   config.geometry = DeviceGeometry::scaled(2048, 128);

@@ -52,6 +52,9 @@ void add_experiment_flags(CliParser& cli, const std::string& lines_default,
                "escalation bound in steps either direction", "3");
   cli.add_flag("wl", "none|startgap|tlsr|pcms|bwl|wawl|twl", "none");
   cli.add_flag("swap-interval", "wear-leveler remap cadence", "100");
+  cli.add_flag("tlsr-subregion-lines",
+               "TLSR inner sub-region size in lines (scaled devices shrink "
+               "it with the endurance scale)", "256");
   cli.add_flag("spare",
                "none | pcd | ps | ps-worst | freep | maxwe | maxwe-identity "
                "| maxwe-random | maxwe-random-identity (the last three are "
@@ -115,6 +118,7 @@ void apply_experiment_flags(const CliParser& cli, ExperimentConfig& config) {
       static_cast<std::uint32_t>(cli.get_uint("adaptive-max-steps"));
   config.wear_leveler = cli.get_string("wl");
   config.wl.swap_interval = cli.get_uint("swap-interval");
+  config.wl.tlsr_subregion_lines = cli.get_uint("tlsr-subregion-lines");
   config.spare_scheme = cli.get_string("spare");
   config.spare_fraction = cli.get_double("spare-fraction");
   config.swr_fraction = cli.get_double("swr-fraction");

@@ -18,6 +18,9 @@
 //   fleet_sim --devices 10000 --mode stochastic --wl tlsr --spare maxwe
 //             --attack-mix "zipf:0.8,bpa:0.2" --out mix.json
 
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -34,7 +37,8 @@
 namespace {
 
 // "zipf:0.8,bpa:0.2" -> AttackShare list. Whitespace-free, weight optional
-// (defaults to 1, so "uaa,bpa" is an even split).
+// (defaults to 1, so "uaa,bpa" is an even split); the whole weight must be
+// a finite positive number. Attack names are checked by run_fleet.
 std::vector<nvmsec::AttackShare> parse_attack_mix(const std::string& text) {
   std::vector<nvmsec::AttackShare> mix;
   std::istringstream in(text);
@@ -43,11 +47,21 @@ std::vector<nvmsec::AttackShare> parse_attack_mix(const std::string& text) {
     if (entry.empty()) continue;
     nvmsec::AttackShare share;
     const std::size_t colon = entry.find(':');
-    if (colon == std::string::npos) {
-      share.attack = entry;
-    } else {
-      share.attack = entry.substr(0, colon);
-      share.weight = std::stod(entry.substr(colon + 1));
+    share.attack = entry.substr(0, colon);
+    bool ok = !share.attack.empty();
+    if (colon != std::string::npos) {
+      const std::string weight = entry.substr(colon + 1);
+      char* end = nullptr;
+      errno = 0;
+      share.weight = std::strtod(weight.c_str(), &end);
+      ok = ok && !weight.empty() && *end == '\0' && errno != ERANGE &&
+           std::isfinite(share.weight) && share.weight > 0;
+    }
+    if (!ok) {
+      throw std::invalid_argument(
+          "flag --attack-mix: bad entry '" + entry +
+          "', expected name[:weight] with a finite positive weight, "
+          "e.g. 'zipf:0.8,bpa:0.2'");
     }
     mix.push_back(std::move(share));
   }

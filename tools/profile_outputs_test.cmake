@@ -95,6 +95,11 @@ foreach(profile prof_run.profile.json prof_fleet.profile.json)
         message(FATAL_ERROR "${profile}: missing '${key}': ${err}")
       endif()
     endforeach()
+    string(JSON type GET "${doc}" type)
+    string(JSON wall GET "${doc}" wall_ns)
+    if(NOT type MATCHES "^profile$" OR NOT wall GREATER 0)
+      message(FATAL_ERROR "${profile}: type '${type}', wall_ns ${wall}")
+    endif()
   else()
     foreach(key "\"v\"" "\"phases\"" "\"counters\"" "\"utilization\"")
       if(NOT doc MATCHES "${key}")
@@ -121,6 +126,24 @@ if(NOT heartbeat MATCHES "\"v\":3" OR
    NOT heartbeat MATCHES "\"worker_busy_frac\"")
   message(FATAL_ERROR "heartbeat lines are missing the v3 fields")
 endif()
+# Every line is v3, and the final one covers every shard with a worker
+# busy fraction in (0, 2].
+file(STRINGS ${WORK_DIR}/prof_fleet.heartbeat.jsonl hb_lines)
+file(STRINGS ${WORK_DIR}/prof_fleet.heartbeat.jsonl hb_v3 REGEX "^{\"v\":3,")
+list(LENGTH hb_lines n_hb)
+list(LENGTH hb_v3 n_v3)
+list(GET hb_lines -1 last_hb)
+if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
+  string(JSON done GET "${last_hb}" shards_done)
+  string(JSON total GET "${last_hb}" shards_total)
+  string(JSON busy GET "${last_hb}" worker_busy_frac)
+  string(JSON workers LENGTH "${fleet_doc}" utilization workers)
+  if(NOT n_hb EQUAL n_v3 OR NOT done EQUAL total OR NOT total GREATER 0 OR
+     NOT busy GREATER 0 OR NOT busy LESS_EQUAL 2.0 OR NOT workers GREATER 0)
+    message(FATAL_ERROR "heartbeat/utilization check failed (${n_v3} of "
+            "${n_hb} lines v3, worker utilization ${workers}): ${last_hb}")
+  endif()
+endif()
 
 # --- renderer --------------------------------------------------------------
 foreach(profile prof_run.profile.json prof_fleet.profile.json)
@@ -140,4 +163,23 @@ execute_process(
   RESULT_VARIABLE render_result OUTPUT_VARIABLE render_out)
 if(NOT render_result EQUAL 0 OR NOT render_out MATCHES "vs baseline")
   message(FATAL_ERROR "maxwe_profile --compare failed")
+endif()
+
+# The summary view and both reports embed the profiles.
+execute_process(
+  COMMAND ${PROFILE} --profile ${WORK_DIR}/prof_fleet.profile.json --summary
+  OUTPUT_VARIABLE summary_out)
+execute_process(
+  COMMAND ${REPORT} --events ${WORK_DIR}/prof_on.events.jsonl
+          --profile ${WORK_DIR}/prof_run.profile.json
+  OUTPUT_VARIABLE report_out)
+execute_process(
+  COMMAND ${FLEET_REPORT} --fleet ${WORK_DIR}/prof_fleet_on.json
+          --profile ${WORK_DIR}/prof_fleet.profile.json
+  OUTPUT_VARIABLE fleet_report_out)
+if(NOT summary_out MATCHES "attributed: " OR
+   NOT report_out MATCHES "Self-profile" OR
+   NOT fleet_report_out MATCHES "Campaign self-profile")
+  message(FATAL_ERROR "profile summary or report embedding is missing:\n"
+          "${summary_out}\n${report_out}\n${fleet_report_out}")
 endif()

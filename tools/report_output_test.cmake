@@ -43,6 +43,24 @@ if(NOT freep_result EQUAL 0)
   message(FATAL_ERROR "freep events run failed: ${freep_result}")
 endif()
 
+# Every line of both logs is schema v1; each log carries the run's frame
+# (run_start, spare_roles, run_end) and at least one rescue.
+foreach(ev ${ev_a} ${ev_freep})
+  file(STRINGS ${ev} all_lines)
+  file(STRINGS ${ev} v1_lines REGEX "^{\"v\":1,")
+  list(LENGTH all_lines n_all)
+  list(LENGTH v1_lines n_v1)
+  if(NOT n_all EQUAL n_v1)
+    message(FATAL_ERROR "${ev}: ${n_v1} of ${n_all} lines are schema v1")
+  endif()
+  file(READ ${ev} log)
+  foreach(type run_start spare_roles run_end "(rmt_redirect|asr_alloc|spare_alloc)")
+    if(NOT log MATCHES "\"type\":\"${type}\"")
+      message(FATAL_ERROR "${ev} has no ${type} event")
+    endif()
+  endforeach()
+endforeach()
+
 # maxwe_report renders the post-mortem (terminal + Markdown + comparison).
 execute_process(
   COMMAND ${REPORT} --events ${ev_a} --compare ${ev_freep} --md ${md_out}
@@ -104,3 +122,29 @@ if(NOT resume_same EQUAL 0)
   message(FATAL_ERROR "resumed run's event log differs from the "
           "uninterrupted run's")
 endif()
+
+# Detector post-mortem: a UAA-onset run with the detector and the adaptive
+# cadence on reports its alarms, and the report renders the detector section.
+set(ev_detect ${WORK_DIR}/report_detector.events.jsonl)
+execute_process(
+  COMMAND ${TOOL} --mode stochastic --lines 2048 --regions 128
+          --endurance-mean 2000 --spare maxwe --wl startgap --swap-interval 32
+          --attack-onset 100000 --detect --detect-window 8192 --adaptive
+          --events-out ${ev_detect}
+  RESULT_VARIABLE detect_result OUTPUT_VARIABLE detect_out)
+execute_process(COMMAND ${REPORT} --events ${ev_detect} --detector
+                RESULT_VARIABLE detector_result OUTPUT_VARIABLE detector_out)
+if(NOT detect_result EQUAL 0 OR NOT detector_result EQUAL 0)
+  message(FATAL_ERROR "detector run or report failed: ${detect_result}, "
+          "${detector_result}")
+endif()
+foreach(needle "alarms raised:" "cadence changes:")
+  if(NOT detect_out MATCHES "${needle}")
+    message(FATAL_ERROR "detector run did not print '${needle}'")
+  endif()
+endforeach()
+foreach(needle "Attack detector" "Detection latency" "Adaptive cadence changes")
+  if(NOT detector_out MATCHES "${needle}")
+    message(FATAL_ERROR "detector report is missing '${needle}'")
+  endif()
+endforeach()
