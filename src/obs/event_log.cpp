@@ -9,24 +9,12 @@ namespace nvmsec {
 
 EventLog::EventLog(std::ostream& out, std::uint64_t max_events,
                    bool write_header)
-    : out_(&out), max_events_(max_events) {
+    : out_(out), max_events_(max_events) {
   if (write_header) {
     // The preamble names the format so a reader can reject foreign JSONL
     // before interpreting any event. It does not count against the cap.
     write_line("schema", {{"format", std::string_view("maxwe-events")}});
   }
-}
-
-EventLog::EventLog(std::uint64_t max_events)
-    : out_(nullptr), max_events_(max_events) {}
-
-void EventLog::reset(std::uint64_t max_events) {
-  max_events_ = max_events;
-  now_ = 0;
-  written_ = 0;
-  dropped_ = 0;
-  finalized_ = false;
-  eol_cause_.clear();
 }
 
 void EventLog::emit(std::string_view type,
@@ -40,15 +28,7 @@ void EventLog::emit(std::string_view type,
     return;
   }
   ++written_;
-  // Capture the failure cause from the admitted event stream so count-only
-  // consumers classify exactly like a JSONL parse of a streaming log: the
-  // last admitted end_of_life wins; dropped ones never contribute.
-  if (type == "end_of_life") {
-    for (const EventField& f : fields) {
-      if (f.is_string && f.key == "cause") eol_cause_.assign(f.str);
-    }
-  }
-  if (out_ != nullptr) write_line(type, fields);
+  write_line(type, fields);
 }
 
 void EventLog::write_line(std::string_view type,
@@ -72,7 +52,7 @@ void EventLog::write_line(std::string_view type,
     }
   }
   line += "}\n";
-  *out_ << line;
+  out_ << line;
   offset_ += line.size();
 }
 
@@ -89,7 +69,7 @@ Status EventLog::truncate_to(std::uint64_t offset) {
         "event log is not file-backed; cannot rewind it to a checkpoint "
         "offset");
   }
-  out_->flush();
+  out_.flush();
   if (Status st = truncator_(offset); !st.ok()) return st;
   offset_ = offset;
   return Status::ok_status();
@@ -98,12 +78,11 @@ Status EventLog::truncate_to(std::uint64_t offset) {
 void EventLog::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  if (out_ == nullptr) return;
   if (dropped_ > 0) {
     write_line("log_truncated",
                {{"dropped", static_cast<double>(dropped_)}});
   }
-  out_->flush();
+  out_.flush();
 }
 
 }  // namespace nvmsec

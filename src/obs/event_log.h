@@ -22,7 +22,6 @@
 #include <functional>
 #include <initializer_list>
 #include <ostream>
-#include <string>
 #include <string_view>
 
 #include "util/status.h"
@@ -59,13 +58,6 @@ class EventLog {
                     std::uint64_t max_events = kDefaultMaxEvents,
                     bool write_header = true);
 
-  /// Count-only log: no sink, no JSON formatting. Events are admitted or
-  /// dropped by exactly the same cap arithmetic as a streaming log, and the
-  /// last admitted end_of_life cause is captured, so a consumer that only
-  /// needs the failure-cause taxonomy (the fleet runner) gets byte-identical
-  /// classifications without paying for serialization.
-  explicit EventLog(std::uint64_t max_events);
-
   /// Set the write clock: user writes completed so far. Events emitted
   /// until the next call are stamped with this value as "t".
   void set_now(double user_writes) { now_ = user_writes; }
@@ -82,9 +74,7 @@ class EventLog {
   [[nodiscard]] std::uint64_t events_written() const { return written_; }
   [[nodiscard]] std::uint64_t events_dropped() const { return dropped_; }
 
-  void flush() {
-    if (out_ != nullptr) out_->flush();
-  }
+  void flush() { out_.flush(); }
 
   /// File-backed logs install a truncator that resizes the backing file;
   /// truncate_to() flushes, invokes it, and rewinds offset(). The output
@@ -103,38 +93,20 @@ class EventLog {
   [[nodiscard]] Status truncate_to(std::uint64_t offset);
 
   /// Append the "log_truncated" marker if events were dropped, then flush.
-  /// Idempotent; ObsSession calls it when the run ends. No-op for
-  /// count-only logs (there is nothing to append the marker to).
+  /// Idempotent; ObsSession calls it when the run ends.
   void finalize();
-
-  /// The "cause" field of the last *admitted* end_of_life event, or empty
-  /// when none was emitted within the cap — the same event a JSONL parse of
-  /// a streaming log would surface.
-  [[nodiscard]] const std::string& end_of_life_cause() const {
-    return eol_cause_;
-  }
-  /// True when any event was dropped — the condition under which finalize()
-  /// would write the "log_truncated" marker into a streaming log.
-  [[nodiscard]] bool truncated() const { return dropped_ > 0; }
-  [[nodiscard]] bool count_only() const { return out_ == nullptr; }
-
-  /// Rearm a count-only log for the next run (counts, clock and captured
-  /// cause cleared). Not meaningful for streaming logs, whose sink already
-  /// holds the emitted bytes.
-  void reset(std::uint64_t max_events);
 
  private:
   void write_line(std::string_view type,
                   std::initializer_list<EventField> fields);
 
-  std::ostream* out_;  // nullptr = count-only mode
+  std::ostream& out_;
   std::uint64_t max_events_;
   double now_{0};
   std::uint64_t offset_{0};
   std::uint64_t written_{0};
   std::uint64_t dropped_{0};
   bool finalized_{false};
-  std::string eol_cause_;
   Truncator truncator_;
 };
 

@@ -57,7 +57,7 @@ enum class ProfPhase : std::uint8_t {
   kBitRun,               // BitEngine::run end to end
   kFleetShard,           // one shard: device loop, compress, journal record
   kFleetDevice,          // one device's run_experiment inside a shard
-  kFleetCheckpoint,      // fleet checkpoint rewrite after a shard lands
+  kFleetCheckpoint,      // fleet journal append after a shard lands
   kFleetFold,            // in-order fold of landed shards before the join
   kFleetMerge,           // fold of the shards left after the join
   kCount,
@@ -71,7 +71,6 @@ inline constexpr std::size_t kProfPhaseCount =
 enum class ProfCounter : std::uint8_t {
   kEnduranceCacheHit = 0,  // endurance-map cache hits (per experiment)
   kEnduranceCacheMiss,
-  kEnduranceCacheEvict,
   kBufferHit,            // DRAM-buffer write hits
   kBufferMiss,
   kBufferEvict,          // evictions written back to the device

@@ -64,10 +64,7 @@ EnduranceMapCache::BuiltMap EnduranceMapCache::get_or_build(
     }
   }
   entries_.push_front(Entry{key, built});
-  while (entries_.size() > max_entries_) {
-    entries_.pop_back();
-    ++evictions_;
-  }
+  while (entries_.size() > max_entries_) entries_.pop_back();
   return built;
 }
 
@@ -86,19 +83,9 @@ std::uint64_t EnduranceMapCache::misses() const {
   return misses_;
 }
 
-std::uint64_t EnduranceMapCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return evictions_;
-}
-
 void EnduranceMapCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.clear();
-}
-
-EnduranceMapCache& EnduranceMapCache::global() {
-  static EnduranceMapCache cache;
-  return cache;
 }
 
 }  // namespace nvmsec

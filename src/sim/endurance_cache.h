@@ -1,9 +1,8 @@
-// Keyed, thread-safe cache of endurance maps for the experiment layer.
+// Keyed, thread-safe cache of endurance maps, handed to run_experiment
+// through its `cache` parameter. No batch path passes one: run_experiments
+// and run_fleet draw every run's map the same way at every job count.
 //
-// A sweep evaluates many configs that differ only in scheme/budget knobs:
-// a 7-point spare-fraction sweep over N seeds would otherwise sample 7·N
-// identical endurance maps (the paper's 1 GB geometry has 2048 region
-// draws, and line jitter touches all 4.2M lines). The map is a pure
+// Configs that differ only in scheme/budget knobs share a map: it is a pure
 // function of (geometry, endurance params, seed, jitter sigma), and maps
 // are immutable after construction, so distinct runs — including runs on
 // different threads — can share one `shared_ptr<const EnduranceMap>`.
@@ -58,13 +57,8 @@ class EnduranceMapCache {
   [[nodiscard]] std::size_t max_entries() const { return max_entries_; }
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t misses() const;
-  [[nodiscard]] std::uint64_t evictions() const;
 
   void clear();
-
-  /// The process-wide cache the experiment layer uses by default, so
-  /// separate sweep calls (one per figure point) share maps.
-  static EnduranceMapCache& global();
 
  private:
   struct Key {
@@ -99,7 +93,6 @@ class EnduranceMapCache {
   std::list<Entry> entries_;
   std::uint64_t hits_{0};
   std::uint64_t misses_{0};
-  std::uint64_t evictions_{0};
 };
 
 }  // namespace nvmsec

@@ -101,10 +101,12 @@ std::shared_ptr<const EnduranceMap> supplied_map(const ExperimentConfig& config,
   return jittered;
 }
 
-/// Fault injection and checkpointing only make sense where there is a
-/// run-time trajectory to perturb or to save; reject the combinations that
-/// would silently do nothing instead.
-void validate_robustness_config(const ExperimentConfig& config) {
+}  // namespace
+
+void validate_experiment_config(const ExperimentConfig& config) {
+  // Fault injection and checkpointing only make sense where there is a
+  // run-time trajectory to perturb or to save; reject the combinations that
+  // would silently do nothing instead.
   if (config.checkpoint_out.empty() != (config.checkpoint_interval == 0)) {
     throw std::invalid_argument(
         "run_experiment: checkpoint_out and checkpoint_interval must be set "
@@ -150,9 +152,29 @@ void validate_robustness_config(const ExperimentConfig& config) {
           "with a tunable remap cadence (wear_leveler is 'none')");
     }
   }
+  if (config.attack == "hotspot" && config.hotspot_working_set == 0) {
+    throw std::invalid_argument(
+        "run_experiment: hotspot_working_set must be >= 1");
+  }
+  if (config.mode == SimulationMode::kUniformEvent) {
+    if (config.wear_leveler != "none") {
+      throw std::invalid_argument(
+          "run_experiment: the event-driven engine is wear-leveler-free "
+          "(bijective remapping does not change stationary-rate wear); use "
+          "stochastic mode to include wear-leveler overhead");
+    }
+    // The event engine bulk-advances any *stationary* per-index write-rate
+    // vector (the mean-field limit of the stochastic sampling). BPA's burst
+    // pattern and a mixed schedule are non-stationary.
+    if (config.attack != "uaa" && config.attack != "random" &&
+        config.attack != "hotspot" && config.attack != "zipf") {
+      throw std::invalid_argument(
+          "run_experiment: the event-driven engine bulk-advances stationary "
+          "write-rate phases; attack '" + config.attack +
+          "' is non-stationary — use stochastic mode");
+    }
+  }
 }
-
-}  // namespace
 
 std::uint64_t config_fingerprint(const ExperimentConfig& config) {
   StateWriter w;
@@ -302,7 +324,7 @@ Device* ExperimentWorkspace::acquire_device(
 LifetimeResult run_experiment(const ExperimentConfig& config,
                               EnduranceMapCache* cache,
                               ExperimentWorkspace* workspace) {
-  validate_robustness_config(config);
+  validate_experiment_config(config);
   if (config.observer.events != nullptr) {
     // First event of every run; a resumed run re-emits it, but the engine
     // rewinds the log to the checkpoint offset before continuing, so the
@@ -388,26 +410,13 @@ LifetimeResult run_experiment(const ExperimentConfig& config,
   }
 
   if (config.mode == SimulationMode::kUniformEvent) {
-    if (config.wear_leveler != "none") {
-      throw std::invalid_argument(
-          "run_experiment: the event-driven engine is wear-leveler-free "
-          "(bijective remapping does not change stationary-rate wear); use "
-          "stochastic mode to include wear-leveler overhead");
-    }
     UniformEventSimulator sim(device_map, *spare);
     sim.set_scratch(&ws.event_scratch_);
-    // The event engine bulk-advances any *stationary* per-index write-rate
-    // vector (the mean-field limit of the stochastic sampling): uniform for
-    // uaa/random, a hot working set for hotspot, the scattered skew for
-    // zipf. BPA's burst pattern is non-stationary, so it stays stochastic.
+    // Per-index write rates: uniform for uaa/random (the default, no weight
+    // vector needed), a hot working set for hotspot, the scattered skew for
+    // zipf. validate_experiment_config() refused every other attack.
     const std::uint64_t u = spare->working_lines();
-    if (config.attack == "uaa" || config.attack == "random") {
-      // Uniform rates: the default, no weight vector needed.
-    } else if (config.attack == "hotspot") {
-      if (config.hotspot_working_set == 0) {
-        throw std::invalid_argument(
-            "run_experiment: hotspot_working_set must be >= 1");
-      }
+    if (config.attack == "hotspot") {
       std::vector<double> weights(u, 0.0);
       const std::uint64_t set = std::min(config.hotspot_working_set, u);
       for (std::uint64_t i = 0; i < set; ++i) weights[i] = 1.0;
@@ -415,11 +424,6 @@ LifetimeResult run_experiment(const ExperimentConfig& config,
     } else if (config.attack == "zipf") {
       sim.set_index_rates(
           zipf_address_rates(config.zipf_skew, u, config.seed));
-    } else {
-      throw std::invalid_argument(
-          "run_experiment: the event-driven engine bulk-advances stationary "
-          "write-rate phases; attack '" + config.attack +
-          "' is non-stationary — use stochastic mode");
     }
     sim.set_observer(config.observer);
     setup_span.reset();
@@ -433,13 +437,7 @@ LifetimeResult run_experiment(const ExperimentConfig& config,
     if (name == "zipf") {
       return make_zipf(config.zipf_skew, working_lines, config.seed);
     }
-    if (name == "hotspot") {
-      if (config.hotspot_working_set == 0) {
-        throw std::invalid_argument(
-            "run_experiment: hotspot_working_set must be >= 1");
-      }
-      return make_hotspot(config.hotspot_working_set);
-    }
+    if (name == "hotspot") return make_hotspot(config.hotspot_working_set);
     return make_attack(name);
   };
   std::unique_ptr<Attack> attack;
@@ -514,7 +512,7 @@ LifetimeResult run_experiment(const ExperimentConfig& config,
 
   std::unique_ptr<MetadataFaultInjector> injector;
   if (config.fault.metadata.any()) {
-    // validate_robustness_config() already pinned the scheme to "maxwe".
+    // validate_experiment_config() already pinned the scheme to "maxwe".
     auto* maxwe = dynamic_cast<MaxWe*>(spare);
     injector = std::make_unique<MetadataFaultInjector>(config.fault.metadata,
                                                        config.fault.seed);

@@ -157,17 +157,26 @@ struct ExperimentConfig {
   [[nodiscard]] std::uint64_t spare_lines() const;
 };
 
+/// The config rules run_experiment enforces before it builds anything:
+/// checkpoint, resume, fault, detector and mixed-schedule combinations, a
+/// hotspot set of at least 1, and, in event mode, no wear leveler and a
+/// stationary attack (uaa, random, hotspot or zipf). Throws
+/// std::invalid_argument naming the first rule `config` breaks. Names of
+/// attacks, spare schemes and levelers are checked where they are built.
+void validate_experiment_config(const ExperimentConfig& config);
+
 /// Run one experiment end to end. Throws std::invalid_argument for
-/// inconsistent configs (e.g. event mode with a non-uniform attack) and
+/// inconsistent configs (validate_experiment_config) and
 /// std::runtime_error (carrying a Status string) when a resume checkpoint
 /// is missing, corrupt, or from a different configuration.
 ///
 /// The spare scheme, device and event-engine scratch come from `workspace`
 /// (a local one when nullptr), and so does the endurance map unless the
-/// config carries one or `cache` is given (see sim/endurance_cache.h).
-/// Neither changes the result by a bit: the cache replays the post-map RNG
-/// state, so every later draw (spare-scheme placement, attack, engine) is
-/// unchanged, and a workspace only recycles storage.
+/// config carries one or `cache` is given (see sim/endurance_cache.h; no
+/// batch path passes one). Neither changes the result by a bit: the cache
+/// replays the post-map RNG state, so every later draw (spare-scheme
+/// placement, attack, engine) is unchanged, and a workspace only recycles
+/// storage.
 LifetimeResult run_experiment(const ExperimentConfig& config,
                               EnduranceMapCache* cache = nullptr,
                               ExperimentWorkspace* workspace = nullptr);

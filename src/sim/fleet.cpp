@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "attack/mixed.h"
-#include "obs/event_log.h"
 #include "obs/heartbeat.h"
 #include "obs/json.h"
 #include "obs/json_parse.h"
@@ -62,14 +61,6 @@ std::string classify_failure_cause(std::string_view event_jsonl,
   }
   if (log_truncated != nullptr) *log_truncated = truncated;
   if (!from_event.empty()) return from_event;
-  return classify_from_result(result);
-}
-
-std::string classify_failure_cause(const EventLog& log,
-                                   const LifetimeResult& result,
-                                   bool* log_truncated) {
-  if (log_truncated != nullptr) *log_truncated = log.truncated();
-  if (!log.end_of_life_cause().empty()) return log.end_of_life_cause();
   return classify_from_result(result);
 }
 
@@ -246,6 +237,22 @@ Status FleetAggregate::load_state(StateReader& r) {
 namespace {
 
 constexpr std::uint64_t kAttackPickSalt = 0xA77AC4A11D0C7015ULL;
+/// The per-device event-log cap fleets used to hash; fleet devices no
+/// longer keep a log, and hashing the old default keeps the fingerprints
+/// of existing journals.
+constexpr std::uint64_t kRetiredEventLogCap = 65536;
+
+/// The config every device of `spec` runs, before its seed and attack are
+/// set. Fleet devices are self-contained: no caller sinks (they would race
+/// across shards) and no per-device checkpoint files.
+ExperimentConfig device_template(const FleetSpec& spec) {
+  ExperimentConfig config = spec.base;
+  config.observer = Observer{};
+  config.checkpoint_out.clear();
+  config.checkpoint_interval = 0;
+  config.resume_from.clear();
+  return config;
+}
 
 void validate_spec(const FleetSpec& spec) {
   if (spec.devices == 0) {
@@ -253,9 +260,6 @@ void validate_spec(const FleetSpec& spec) {
   }
   if (spec.shard_size == 0) {
     throw std::invalid_argument("run_fleet: shard_size must be > 0");
-  }
-  if (spec.event_log_max_events == 0) {
-    throw std::invalid_argument("run_fleet: event_log_max_events must be > 0");
   }
   for (const AttackShare& share : spec.attack_mix) {
     if (share.attack.empty() || !(share.weight > 0)) {
@@ -265,6 +269,15 @@ void validate_spec(const FleetSpec& spec) {
   }
   // Refuses an unknown attack name before any device runs into it.
   (void)fleet_sampling_contract(spec);
+  // Then every attack a device can draw must pass the rules run_experiment
+  // enforces (event mode takes only stationary attacks, say), so a bad mix
+  // entry fails here rather than inside the first device that draws it.
+  ExperimentConfig config = device_template(spec);
+  if (spec.attack_mix.empty()) validate_experiment_config(config);
+  for (const AttackShare& share : spec.attack_mix) {
+    config.attack = share.attack;
+    validate_experiment_config(config);
+  }
 }
 
 std::uint64_t fnv_mix(std::uint64_t h, const void* data, std::size_t size) {
@@ -339,7 +352,7 @@ std::uint64_t fleet_fingerprint(const FleetSpec& spec) {
   h = fnv_mix_u64(h, spec.devices);
   h = fnv_mix_u64(h, spec.seed_start);
   h = fnv_mix_u64(h, spec.shard_size);
-  h = fnv_mix_u64(h, spec.event_log_max_events);
+  h = fnv_mix_u64(h, kRetiredEventLogCap);
   h = fnv_mix_u64(h, spec.attack_mix.size());
   for (const AttackShare& share : spec.attack_mix) {
     h = fnv_mix(h, share.attack.data(), share.attack.size());
@@ -391,34 +404,21 @@ FleetAggregate run_shard(const FleetSpec& spec, std::uint64_t shard,
   FleetAggregate agg;
   const std::uint64_t first = shard_first(spec, shard);
   const std::uint64_t count = shard_count(spec, shard);
-  // One config and one event log serve the whole shard; per-device setup
-  // touches only the fields that vary (seed and attack). Fleet devices are
-  // self-contained: no caller sinks (they would race across shards), no
-  // per-device checkpoint files. The two sinks a device gets are its own
-  // count-only event log — cause capture with identical admission
-  // arithmetic to a streaming log, but no JSON formatting or parsing — and
-  // the shard's private profiler.
-  ExperimentConfig config = spec.base;
-  config.observer = Observer{};
-  config.checkpoint_out.clear();
-  config.checkpoint_interval = 0;
-  config.resume_from.clear();
-  EventLog log(spec.event_log_max_events);
-  config.observer.events = &log;
+  // One config serves the whole shard; per-device setup touches only the
+  // fields that vary (seed and attack). The one sink a device gets is the
+  // shard's private profiler; its failure cause comes from its result.
+  ExperimentConfig config = device_template(spec);
   config.observer.profiler = prof;
   for (std::uint64_t d = first; d < first + count; ++d) {
     config.seed = spec.seed_start + d;
     config.attack = fleet_device_attack(spec, d);
-    log.reset(spec.event_log_max_events);
 
     const LifetimeResult result = [&] {
       const ScopedProfPhase device_span(prof, ProfPhase::kFleetDevice);
       return run_experiment(config, nullptr, workspace);
     }();
-    log.finalize();
-    bool truncated = false;
-    const std::string cause = classify_failure_cause(log, result, &truncated);
-    agg.add(d, result, cause, truncated);
+    agg.add(d, result, classify_failure_cause(std::string_view{}, result),
+            /*log_truncated=*/false);
   }
   agg.compress();
   agg.save_state(record);

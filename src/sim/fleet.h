@@ -4,9 +4,9 @@
 // The paper's endurance claim is a population claim — "survives N writes
 // under attack" only matters across millions of devices with endurance
 // variation and faults. run_fleet() fans a device-population spec across
-// `jobs` threads and streams every per-device LifetimeResult (plus its
-// event-log-derived failure cause) into per-shard sketches; no per-device
-// result is ever retained.
+// `jobs` threads and streams every per-device LifetimeResult (plus the
+// failure cause it encodes) into per-shard sketches; no per-device result
+// is ever retained.
 //
 // Sharding and determinism contract:
 //   - Device i always runs with seed `seed_start + i` and an attack chosen
@@ -43,7 +43,6 @@
 
 namespace nvmsec {
 
-class EventLog;
 class HeartbeatSink;
 class Profiler;
 class StateWriter;
@@ -64,15 +63,11 @@ inline constexpr std::string_view kCauseUnknown = "unknown";
 /// end_of_life event, falls back to classifying `result.failure_reason` so
 /// a truncated log degrades gracefully instead of misclassifying the run.
 /// Sets `*log_truncated` (when non-null) iff the marker was present.
+/// Every engine emits its end_of_life event with the cause that
+/// `result.failure_reason` maps to, so an empty log classifies a result
+/// the same way its full log would; fleet devices run without a log and
+/// are classified that way.
 std::string classify_failure_cause(std::string_view event_jsonl,
-                                   const LifetimeResult& result,
-                                   bool* log_truncated = nullptr);
-
-/// Same classification without a JSONL parse: reads the cause the EventLog
-/// captured from its admitted event stream (obs/event_log.h count-only
-/// mode). Agrees byte-for-byte with the string overload on the log's
-/// serialized form — the fleet hot path uses this one.
-std::string classify_failure_cause(const EventLog& log,
                                    const LifetimeResult& result,
                                    bool* log_truncated = nullptr);
 
@@ -134,8 +129,10 @@ struct FleetAggregate {
   /// representative subsample of the population.
   WeightedReservoir sample{64};
   std::uint64_t devices{0};
-  /// Devices whose event log hit the cap (failure cause fell back to the
-  /// LifetimeResult classification).
+  /// Devices whose event log hit the cap. Fleet devices run without an
+  /// event log, so run_fleet always leaves this 0; it stays in the journal
+  /// record, the result JSON and the heartbeat until their next schema
+  /// version.
   std::uint64_t truncated_logs{0};
 
   /// Fold one device's result in. `cause` from classify_failure_cause().
@@ -169,17 +166,13 @@ struct FleetSpec {
   std::uint64_t shard_size{256};
   /// Template config: geometry, endurance distribution, fault plan, wear
   /// leveler, spare scheme, mode. Per-device seed (and attack, when a mix
-  /// is given) are overridden; observer sinks are ignored — fleet devices
-  /// get their own in-memory event log for cause extraction.
+  /// is given) are overridden; observer sinks and engine checkpoints are
+  /// ignored — fleet devices run with none.
   ExperimentConfig base;
   /// Weighted attack mix; empty = every device runs base.attack. Device
   /// i's attack is picked by a stateless hash of (seed_start, i), so the
   /// assignment is independent of sharding and job count.
   std::vector<AttackShare> attack_mix;
-  /// Per-device event-log cap. Fleet logs live in memory, so this bounds
-  /// peak memory per running device; beyond it the cause extraction falls
-  /// back to the LifetimeResult (counted in truncated_logs).
-  std::uint64_t event_log_max_events{65536};
 };
 
 /// Attack for device `index` under `spec` (the stateless hash pick).
@@ -234,8 +227,10 @@ struct FleetResult {
   [[nodiscard]] bool complete() const { return shards_done == shards_total; }
 };
 
-/// Run the campaign. Throws std::invalid_argument on an empty population
-/// or bad mix, std::runtime_error when resume meets a checkpoint written
+/// Run the campaign. Throws std::invalid_argument, before any device runs,
+/// on an empty population, a bad mix, or an attack the population can draw
+/// that breaks validate_experiment_config (a non-stationary attack in event
+/// mode, say); std::runtime_error when resume meets a checkpoint written
 /// by a different spec. A shard that throws does not stop the others:
 /// they all run (and are journaled), then the exception of the
 /// lowest-numbered failing shard is rethrown.

@@ -3,7 +3,7 @@
 // Three stores share it:
 //   * fleet campaigns append one record per completed shard (key = shard
 //     index, payload = FleetAggregate::save_state bytes);
-//   * --seeds/--banks sweeps append one record per finished run (key = run
+//   * --seeds sweeps append one record per finished run (key = run
 //     index, payload = the run's config fingerprint + LifetimeResult);
 //   * an engine checkpoint is a file holding exactly one record (key 0,
 //     payload = the engine state), rewritten at every checkpoint.

@@ -7,7 +7,6 @@
 
 #include "obs/observer.h"
 #include "obs/profiler.h"
-#include "sim/endurance_cache.h"
 #include "sim/journal.h"
 #include "util/serialize.h"
 #include "util/thread_pool.h"
@@ -185,26 +184,19 @@ std::vector<LifetimeResult> run_experiments(
     effective = profiled_configs;
   }
 
-  // The two rules that depend on the thread count: concurrent runs must
-  // not share a sink, and they share endurance maps through the cache.
+  // The one rule that depends on the thread count: concurrent runs must
+  // not share a sink.
   const std::size_t threads = std::min(
       options.jobs == 0 ? hardware_workers() : options.jobs, configs.size());
-  EnduranceMapCache* cache = nullptr;
-  if (threads > 1) {
-    reject_shared_sinks(effective);
-    cache = options.cache != nullptr ? options.cache
-                                     : &EnduranceMapCache::global();
-  }
+  if (threads > 1) reject_shared_sinks(effective);
 
   std::vector<WorkerUtilization> utilization;
   const std::uint64_t section_start = Profiler::now_ns();
-  const std::uint64_t cache_evictions_before =
-      cache != nullptr ? cache->evictions() : 0;
   parallel_for(
       threads, effective.size(),
       [&](std::size_t i, std::size_t) {
         if (skip(i)) return;
-        results[i] = run_experiment(effective[i], cache);
+        results[i] = run_experiment(effective[i]);
         record(i);
       },
       options.profiler != nullptr ? &utilization : nullptr);
@@ -212,32 +204,8 @@ std::vector<LifetimeResult> run_experiments(
     const std::uint64_t section_ns = Profiler::now_ns() - section_start;
     for (const Profiler& p : run_profilers) options.profiler->merge(p);
     options.profiler->set_utilization(utilization, section_ns);
-    if (cache != nullptr) {
-      // hit/miss per run already came through the merge; evictions are a
-      // cache-wide property only the sweep level can see.
-      options.profiler->add(ProfCounter::kEnduranceCacheEvict,
-                            cache->evictions() - cache_evictions_before);
-    }
   }
   return results;
-}
-
-MultiBankResult run_multi_bank(const ExperimentConfig& config,
-                               std::uint32_t banks,
-                               const ParallelOptions& options) {
-  if (banks == 0) {
-    throw std::invalid_argument("run_multi_bank: banks must be > 0");
-  }
-  std::vector<ExperimentConfig> bank_configs(banks, config);
-  for (std::uint32_t b = 0; b < banks; ++b) {
-    bank_configs[b].seed = config.seed + b;
-  }
-  const std::vector<LifetimeResult> results =
-      run_experiments(bank_configs, options);
-  std::vector<double> per_bank;
-  per_bank.reserve(banks);
-  for (const LifetimeResult& r : results) per_bank.push_back(r.normalized);
-  return aggregate_multi_bank(std::move(per_bank));
 }
 
 }  // namespace nvmsec

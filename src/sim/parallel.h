@@ -4,11 +4,11 @@
 // count.
 //
 // Why this is safe: `run_experiment` is self-contained — every run derives
-// all randomness from its own `Rng(config.seed)`, owns its device, attack,
-// wear leveler and spare scheme, and shares only the immutable endurance
-// map (via EnduranceMapCache). There is no global state to race on, so the
-// only ordering that matters is the reduction order of whoever consumes
-// the results — which is why this API returns a vector in input order and
+// all randomness from its own `Rng(config.seed)` and draws its own
+// endurance map, device, attack, wear leveler and spare scheme, the same
+// way at every job count. There is no global state to race on, so the only
+// ordering that matters is the reduction order of whoever consumes the
+// results — which is why this API returns a vector in input order and
 // leaves reductions (RunningStats etc.) to the caller's thread.
 //
 // Observers: a config carrying its *own* sinks is fine at any job count
@@ -26,11 +26,9 @@
 #include <vector>
 
 #include "sim/experiment.h"
-#include "sim/multi_bank.h"
 
 namespace nvmsec {
 
-class EnduranceMapCache;
 class Profiler;
 
 /// Header fingerprint of sweep checkpoint journals (sim/journal.h). Each
@@ -44,11 +42,6 @@ struct ParallelOptions {
   /// Threads doing experiment work, the calling thread included. 0 = all
   /// hardware threads (hardware_workers()); 1 = the calling thread only.
   std::size_t jobs{0};
-  /// Endurance-map cache shared by the runs when more than one thread runs
-  /// them (sim/endurance_cache.h has the determinism contract); nullptr =
-  /// the process-global EnduranceMapCache. A one-thread batch builds each
-  /// run's map afresh.
-  EnduranceMapCache* cache{nullptr};
 
   /// Sweep-level crash safety: after every completed run, append one
   /// (index, config fingerprint, result) record to this journal file
@@ -78,13 +71,5 @@ struct ParallelOptions {
 std::vector<LifetimeResult> run_experiments(
     std::span<const ExperimentConfig> configs,
     const ParallelOptions& options = {});
-
-/// Multi-bank module lifetime: `banks` independent per-bank experiments
-/// (bank b uses seed config.seed + b) run as one run_experiments batch and
-/// aggregated in bank order (aggregate_multi_bank). Identical results at
-/// any job count. Throws on banks == 0.
-MultiBankResult run_multi_bank(const ExperimentConfig& config,
-                               std::uint32_t banks,
-                               const ParallelOptions& options = {});
 
 }  // namespace nvmsec

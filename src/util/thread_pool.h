@@ -1,6 +1,6 @@
 // parallel_for: the one fan-out primitive behind every batch of independent
-// runs — sweeps and multi-bank modules (sim/parallel.h) and fleet shards
-// (sim/fleet.h) — at every thread count.
+// runs — sweeps (sim/parallel.h) and fleet shards (sim/fleet.h) — at every
+// thread count.
 //
 // Design constraints, in order:
 //   1. Determinism lives above it. Indices are claimed dynamically, so which

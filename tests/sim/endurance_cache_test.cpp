@@ -105,7 +105,6 @@ TEST(EnduranceMapCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
 
   cache.get_or_build(g, params, 3, 0.0);  // evicts 2 -> {3, 1}
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 1u);
 
   cache.get_or_build(g, params, 1, 0.0);  // still resident
   EXPECT_EQ(cache.hits(), 2u);
@@ -122,11 +121,6 @@ TEST(EnduranceMapCacheTest, ClearEmptiesButKeepsStats) {
   EXPECT_EQ(cache.misses(), 1u);
   cache.get_or_build(small_geometry(), params, 1, 0.0);
   EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(EnduranceMapCacheTest, GlobalCacheIsASingleton) {
-  EXPECT_EQ(&EnduranceMapCache::global(), &EnduranceMapCache::global());
-  EXPECT_GE(EnduranceMapCache::global().max_entries(), 1u);
 }
 
 }  // namespace

@@ -377,8 +377,8 @@ TEST(SuppliedMapTest, RunEqualsTheLoadMapPipeline) {
 }
 
 TEST(SuppliedMapTest, BatchesBypassTheMapCacheAtAnyJobCount) {
-  // At jobs > 1 the cache would hand back each seed's model draw; a
-  // supplied map must reach every run, and the cache must stay empty.
+  // A map cache would hand back each seed's model draw; a supplied map
+  // must reach every run of a batch, at any job count.
   std::vector<ExperimentConfig> configs;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     ExperimentConfig& c = configs.emplace_back(small_event_config());
@@ -391,10 +391,8 @@ TEST(SuppliedMapTest, BatchesBypassTheMapCacheAtAnyJobCount) {
   EXPECT_NE(run_experiment(model_draw).normalized,
             run_experiment(configs[0]).normalized);
   for (const std::size_t jobs : {1u, 4u}) {
-    EnduranceMapCache cache;
     ParallelOptions options;
     options.jobs = jobs;
-    options.cache = &cache;
     const std::vector<LifetimeResult> results =
         run_experiments(configs, options);
     for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -402,8 +400,12 @@ TEST(SuppliedMapTest, BatchesBypassTheMapCacheAtAnyJobCount) {
                    std::to_string(i));
       expect_identical(run_experiment(configs[i]), results[i]);
     }
-    EXPECT_EQ(cache.size(), 0u);
   }
+  // Handed a cache directly, run_experiment leaves it untouched too.
+  EnduranceMapCache cache;
+  expect_identical(run_experiment(configs[0]),
+                   run_experiment(configs[0], &cache));
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(SuppliedMapTest, RunsThroughAWorkspaceWithoutTouchingItsMap) {

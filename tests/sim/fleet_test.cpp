@@ -12,6 +12,7 @@
 #include <string>
 
 #include "obs/event_log.h"
+#include "obs/heartbeat.h"
 #include "obs/profiler.h"
 #include "sim/journal.h"
 #include "util/serialize.h"
@@ -282,6 +283,22 @@ TEST(FleetRunner, RejectsBadSpecs) {
   EXPECT_THROW((void)run_fleet(no_shard), std::invalid_argument);
 }
 
+TEST(FleetRunner, EventModeRefusesANonStationaryMixBeforeAnyDevice) {
+  // bpa is a known attack, but the event engine takes only stationary
+  // ones: the spec check refuses it before a single shard runs, so no
+  // uaa shard finishes and the heartbeat stays silent.
+  FleetSpec spec = small_spec();
+  spec.devices = 16;
+  spec.shard_size = 1;
+  spec.attack_mix = {{"uaa", 1.0}, {"bpa", 1.0}};
+  std::ostringstream out;
+  HeartbeatSink heartbeat(out, 1);
+  FleetOptions options;
+  options.heartbeat = &heartbeat;
+  EXPECT_THROW((void)run_fleet(spec, options), std::invalid_argument);
+  EXPECT_EQ(heartbeat.lines_written(), 0u);
+}
+
 TEST(FleetFingerprint, CoversTrajectoryShapingFields) {
   const FleetSpec base = small_spec();
   const std::uint64_t fp = fleet_fingerprint(base);
@@ -358,68 +375,47 @@ TEST(ClassifyFailureCause, FallbackClassification) {
   EXPECT_EQ(classify_failure_cause("{not json", garbage), kCauseUnknown);
 }
 
-TEST(ClassifyFailureCause, CountOnlyLogAgreesWithStreamingLog) {
-  // The fleet hot path classifies from a count-only EventLog; it must give
-  // the same answer as parsing the bytes a streaming log would have
-  // written for the identical event sequence.
-  const auto drive = [](EventLog& log, std::uint64_t events_before_eol) {
-    for (std::uint64_t i = 0; i < events_before_eol; ++i) {
-      log.set_now(static_cast<double>(i));
-      log.emit("write", {{"line", static_cast<double>(i % 7)}});
+TEST(ClassifyFailureCause, ResultAloneAgreesWithStreamingLog) {
+  // Fleet devices run without an event log and are classified from their
+  // result alone. That must be the cause their full log would give, for
+  // every engine and every way a run ends.
+  const auto expect_agrees = [](ExperimentConfig c, std::uint64_t cap) {
+    std::ostringstream sink;
+    LifetimeResult r;
+    {
+      EventLog log(sink, cap);
+      c.observer.events = &log;
+      r = run_experiment(c);
+      log.finalize();
     }
-    log.emit("end_of_life", {{"cause", std::string_view("all_backed_lines_worn")}});
-    log.finalize();
+    bool truncated = false;
+    EXPECT_EQ(classify_failure_cause(sink.str(), r, &truncated),
+              classify_failure_cause("", r));
+    EXPECT_EQ(truncated, cap < EventLog::kDefaultMaxEvents);
+    return r;
   };
-
-  LifetimeResult result;
-  result.failed = true;
-  result.failure_reason = "unreplaceable wear-out at line 17";
-
-  // Case 1: end_of_life admitted within the cap.
-  {
-    std::ostringstream sink;
-    EventLog streaming(sink, /*max_events=*/100);
-    EventLog counting(/*max_events=*/100);
-    drive(streaming, 10);
-    drive(counting, 10);
-    bool stream_trunc = true;
-    bool count_trunc = true;
-    EXPECT_EQ(classify_failure_cause(sink.str(), result, &stream_trunc),
-              classify_failure_cause(counting, result, &count_trunc));
-    EXPECT_EQ(classify_failure_cause(counting, result),
-              kCauseAllBackedLinesWorn);
-    EXPECT_EQ(stream_trunc, count_trunc);
-    EXPECT_FALSE(count_trunc);
-  }
-
-  // Case 2: cap hit before end_of_life — both fall back to the result.
-  {
-    std::ostringstream sink;
-    EventLog streaming(sink, /*max_events=*/5);
-    EventLog counting(/*max_events=*/5);
-    drive(streaming, 10);
-    drive(counting, 10);
-    bool stream_trunc = false;
-    bool count_trunc = false;
-    EXPECT_EQ(classify_failure_cause(sink.str(), result, &stream_trunc),
-              classify_failure_cause(counting, result, &count_trunc));
-    EXPECT_EQ(classify_failure_cause(counting, result),
-              kCauseUnreplaceableWearOut);
-    EXPECT_EQ(stream_trunc, count_trunc);
-    EXPECT_TRUE(count_trunc);
-  }
-
-  // Case 3: reset() rearms the count-only log for the next device.
-  {
-    EventLog counting(/*max_events=*/5);
-    drive(counting, 10);
-    EXPECT_TRUE(counting.truncated());
-    counting.reset(100);
-    EXPECT_FALSE(counting.truncated());
-    EXPECT_TRUE(counting.end_of_life_cause().empty());
-    drive(counting, 3);
-    EXPECT_EQ(classify_failure_cause(counting, result),
-              kCauseAllBackedLinesWorn);
+  for (const SimulationMode mode :
+       {SimulationMode::kUniformEvent, SimulationMode::kStochastic,
+        SimulationMode::kBitLevel}) {
+    ExperimentConfig c = scaled_stochastic_config(256, 16, 200.0);
+    c.mode = mode;
+    for (const char* spare :
+         {"none", "pcd", "ps", "ps-worst", "freep", "maxwe",
+          "maxwe-identity", "maxwe-random", "maxwe-random-identity"}) {
+      SCOPED_TRACE(std::string(simulation_mode_name(mode)) + " " + spare);
+      c.spare_scheme = spare;
+      // Unreplaceable wear-out, with the whole log and with a log capped
+      // after run_start, so that its end_of_life event is dropped.
+      const LifetimeResult worn = expect_agrees(c, EventLog::kDefaultMaxEvents);
+      EXPECT_TRUE(worn.failed);
+      expect_agrees(c, 1);
+    }
+    if (mode != SimulationMode::kUniformEvent) {
+      SCOPED_TRACE(std::string(simulation_mode_name(mode)) + " write cap");
+      c.spare_scheme = "maxwe";
+      c.max_user_writes = 1000;
+      EXPECT_FALSE(expect_agrees(c, EventLog::kDefaultMaxEvents).failed);
+    }
   }
 }
 

@@ -8,7 +8,6 @@
 #include "bench_common.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "sim/endurance_cache.h"
 
 namespace nvmsec {
 namespace {
@@ -41,7 +40,6 @@ void expect_matches_serial(const std::vector<ExperimentConfig>& configs,
 ParallelOptions four_jobs() {
   ParallelOptions options;
   options.jobs = 4;
-  options.cache = nullptr;
   return options;
 }
 
@@ -62,8 +60,8 @@ TEST(RunExperimentsTest, EventModeBitIdenticalToSerial) {
       configs.push_back(c);
     }
   }
-  // Mix in schemes that draw from the rng during construction, so cached
-  // post-map rng state is exercised, and the unprotected baseline.
+  // Mix in schemes that draw from the rng after the map draw, and the
+  // unprotected baseline.
   configs[1].spare_scheme = "pcd";
   configs[3].spare_scheme = "ps";
   configs[5].spare_scheme = "none";
@@ -237,38 +235,6 @@ TEST(RunExperimentsTest, PerRunObserversAllowedWhenParallel) {
   EXPECT_GT(a.counter("engine.user_writes").value(), 0u);
   EXPECT_GT(b.counter("engine.user_writes").value(), 0u);
   EXPECT_GT(results[0].normalized, 0.0);
-}
-
-TEST(RunExperimentsTest, ExplicitCacheIsUsedAndStillBitIdentical) {
-  EnduranceMapCache cache(8);
-  ParallelOptions options;
-  options.jobs = 4;
-  options.cache = &cache;
-
-  std::vector<ExperimentConfig> configs;
-  for (double fraction : {0.10, 0.20, 0.30}) {
-    for (std::uint64_t seed : {1, 2}) {
-      ExperimentConfig c;
-      c.geometry = DeviceGeometry::scaled(4096, 64);
-      c.endurance.endurance_at_mean = 1e6;
-      c.seed = seed;
-      c.spare_fraction = fraction;
-      c.spare_scheme = "maxwe";
-      configs.push_back(c);
-    }
-  }
-  // Warm both keys first so the parallel pass is deterministic (two
-  // threads racing on the same cold key may legitimately both miss).
-  for (std::uint64_t seed : {1, 2}) {
-    cache.get_or_build(configs[0].geometry, configs[0].endurance, seed, 0.0);
-  }
-  ASSERT_EQ(cache.misses(), 2u);
-
-  expect_matches_serial(configs, options);
-  // 3 fractions x 2 seeds share the 2 prewarmed maps: all hits, no builds.
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.hits(), 6u);
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 // bench::run_over_seeds, the one batch behind every paper bench.

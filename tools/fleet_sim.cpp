@@ -87,9 +87,6 @@ int main(int argc, char** argv) {
                "weighted population mix, e.g. 'zipf:0.8,bpa:0.2' "
                "(overrides --attack; per-device pick is a stateless hash, "
                "independent of sharding)", "");
-  cli.add_flag("event-log-cap",
-               "per-device in-memory event cap; beyond it the failure "
-               "cause falls back to the result classification", "65536");
   cli.add_flag("out", "fleet-result JSON path (default: stdout)", "");
   cli.add_flag("checkpoint-out",
                "crash-safe campaign journal (per-shard sketch state, one "
@@ -127,7 +124,6 @@ int main(int argc, char** argv) {
     spec.devices = cli.get_uint("devices");
     spec.seed_start = cli.get_uint("seed-start");
     spec.shard_size = cli.get_uint("shard-size");
-    spec.event_log_max_events = cli.get_uint("event-log-cap");
     spec.attack_mix = parse_attack_mix(cli.get_string("attack-mix"));
 
     apply_experiment_flags(cli, spec.base);

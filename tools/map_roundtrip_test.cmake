@@ -68,3 +68,15 @@ if(NOT sweep_out_1 STREQUAL sweep_out_2)
   message(FATAL_ERROR "load-map sweep differs between --jobs 1 and 2:\n"
                       "${sweep_out_1}\n${sweep_out_2}")
 endif()
+
+# Over one loaded map, a scheme that draws nothing gives every seed the same
+# lifetime: a tied sweep names the first seed at its minimum.
+execute_process(
+  COMMAND ${TOOL} --load-map ${WORK_DIR}/roundtrip_map.csv --spare none
+          --seed 7 --seeds 4 --jobs 2
+  RESULT_VARIABLE tie_result OUTPUT_VARIABLE tie_out ERROR_VARIABLE err)
+if(NOT tie_result EQUAL 0 OR NOT tie_out MATCHES
+   "\\(stddev 0 pp, min [0-9.]+% \\(seed 7\\), max [0-9.]+%\\)")
+  message(FATAL_ERROR "a tied --seeds sweep did not name its first seed: "
+                      "${tie_result} ${tie_out} ${err}")
+endif()

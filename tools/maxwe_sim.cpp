@@ -52,12 +52,12 @@ int main(int argc, char** argv) {
   add_experiment_flags(cli, "0", "1e8");
   cli.add_flag("buffer-lines", "DRAM front-buffer lines (0 = none)", "0");
   cli.add_flag("seed", "RNG seed", "42");
-  cli.add_flag("seeds", "average over N seeds (seed, seed+1, ...)", "1");
-  cli.add_flag("banks", "multi-bank module: independent banks (1 = single)",
-               "1");
+  cli.add_flag("seeds",
+               "average over N seeds (seed, seed+1, ...); the minimum is an "
+               "N-bank module's lifetime", "1");
   cli.add_flag("jobs",
-               "worker threads for --seeds/--banks sweeps (0 = all cores, "
-               "1 = the calling thread only)", "0");
+               "worker threads for --seeds sweeps (0 = all cores, 1 = the "
+               "calling thread only)", "0");
   cli.add_flag("save-map", "write the endurance map CSV here and exit", "");
   cli.add_flag("load-map",
                "run on the endurance map in this CSV instead of drawing one "
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   cli.add_flag("checkpoint-out",
                "crash-safe checkpoint file: engine state every "
                "--checkpoint-interval writes (single stochastic run), or "
-               "completed-run records (--seeds/--banks sweeps)", "");
+               "completed-run records (--seeds sweeps)", "");
   cli.add_flag("checkpoint-interval",
                "user writes between engine checkpoints (single stochastic "
                "run; 0 = off)", "0");
@@ -112,11 +112,6 @@ int main(int argc, char** argv) {
     ParallelOptions parallel;
     parallel.jobs = static_cast<std::size_t>(cli.get_uint("jobs"));
     const std::uint64_t seeds = cli.get_uint("seeds");
-    const auto banks = static_cast<std::uint32_t>(cli.get_uint("banks"));
-    if (banks > 1 && seeds > 1) {
-      std::cerr << "error: --banks and --seeds cannot be combined\n";
-      return 1;
-    }
 
     const std::string checkpoint_out = cli.get_string("checkpoint-out");
     const WriteCount checkpoint_interval = cli.get_uint("checkpoint-interval");
@@ -125,7 +120,7 @@ int main(int argc, char** argv) {
       std::cerr << "error: --resume needs --checkpoint-out\n";
       return 1;
     }
-    if (banks > 1 || seeds > 1) {
+    if (seeds > 1) {
       // Sweeps checkpoint at run granularity: each finished run's result is
       // recorded, and a resumed sweep re-runs only the missing ones.
       if (checkpoint_interval > 0) {
@@ -195,21 +190,8 @@ int main(int argc, char** argv) {
       config.geometry = config.endurance_map->geometry();
     }
 
-    // Multi-bank module lifetime: banks fan out across --jobs workers.
-    if (banks > 1) {
-      const MultiBankResult r = run_multi_bank(config, banks, parallel);
-      if (obs) obs->finalize();
-      std::cout << "attack=" << config.attack << " wl=" << config.wear_leveler
-                << " spare=" << config.spare_scheme << " banks=" << banks
-                << " base seed=" << config.seed << "\n"
-                << "system lifetime:     " << 100.0 * r.system_normalized
-                << "%  (weakest bank " << r.weakest_bank << ")\n"
-                << "mean bank lifetime:  " << 100.0 * r.mean_bank << "%\n"
-                << "max bank lifetime:   " << 100.0 * r.max_bank << "%\n";
-      return 0;
-    }
-
     // Seed sweep: N independent runs, deterministic seed-order reduction.
+    // Seed s is bank s of an N-bank module, whose lifetime is the minimum.
     if (seeds > 1) {
       std::vector<ExperimentConfig> sweep(seeds, config);
       for (std::uint64_t s = 0; s < seeds; ++s) {
@@ -218,15 +200,20 @@ int main(int argc, char** argv) {
       const std::vector<LifetimeResult> results =
           run_experiments(sweep, parallel);
       RunningStats stats;
-      for (const LifetimeResult& r : results) stats.add(r.normalized);
+      // On a tie, the weakest seed is the first one at the minimum.
+      std::uint64_t weakest = 0;
+      for (std::uint64_t s = 0; s < seeds; ++s) {
+        stats.add(results[s].normalized);
+        if (results[s].normalized < results[weakest].normalized) weakest = s;
+      }
       if (obs) obs->finalize();
       std::cout << "attack=" << config.attack << " wl=" << config.wear_leveler
                 << " spare=" << config.spare_scheme << " seeds=" << config.seed
                 << ".." << config.seed + seeds - 1 << "\n"
                 << "normalized lifetime: " << 100.0 * stats.mean()
                 << "%  (stddev " << 100.0 * stats.stddev() << " pp, min "
-                << 100.0 * stats.min() << "%, max " << 100.0 * stats.max()
-                << "%)\n";
+                << 100.0 * stats.min() << "% (seed " << config.seed + weakest
+                << "), max " << 100.0 * stats.max() << "%)\n";
       return 0;
     }
 
