@@ -1,6 +1,6 @@
-# A bench's one error path: a malformed --seeds exits with status 1 and a
-# one-line "error: flag --seeds: ..." (not an abort), and --seeds 0 is
-# refused rather than averaged over no runs.
+# A bench's (or example's) one error path: a malformed --seeds exits with
+# status 1 and a one-line "error: flag --seeds: ..." (not an abort), and
+# --seeds 0 is refused rather than averaged over no runs.
 execute_process(
   COMMAND ${BENCH} --seeds -1
   RESULT_VARIABLE result OUTPUT_VARIABLE out ERROR_VARIABLE err)

@@ -58,7 +58,7 @@ int bench_main(int argc, char** argv) {
     configs.push_back(variant("maxwe", 0.90, sigma));
     configs.push_back(variant("maxwe", 0.0, sigma));  // all-ASR, q = 0
   }
-  const auto runs = bench::run_over_seeds(configs, seeds, 42, jobs);
+  const auto runs = run_over_seeds(configs, seeds, 42, jobs);
   // The tables below read the variants back in the order pushed above.
   std::size_t next = 0;
   const auto next_mean_pct = [&runs, &next] {

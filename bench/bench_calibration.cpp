@@ -40,7 +40,7 @@ int bench_main(int argc, char** argv) {
       c.spare_scheme = scheme;
     }
   }
-  const auto runs = bench::run_over_seeds(configs, seeds, 42, jobs);
+  const auto runs = run_over_seeds(configs, seeds, 42, jobs);
   for (std::size_t i = 0; i < std::size(exponents); ++i) {
     std::vector<Cell> row{Cell{exponents[i]}};
     for (std::size_t j = 0; j < std::size(schemes); ++j) {

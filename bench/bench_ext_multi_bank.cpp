@@ -33,8 +33,8 @@ int bench_main(int argc, char** argv) {
   }
   configs[0].spare_scheme = "none";
   configs[1].spare_scheme = "maxwe";
-  const auto runs = bench::run_over_seeds(configs, kMaxBanks, 42,
-                                          bench::jobs_from_cli(cli));
+  const auto runs =
+      run_over_seeds(configs, kMaxBanks, 42, bench::jobs_from_cli(cli));
 
   Table table({"banks", "unprotected system (%)", "Max-WE system (%)",
                "Max-WE mean bank (%)", "Max-WE advantage"});

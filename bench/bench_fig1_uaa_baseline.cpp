@@ -30,7 +30,7 @@ int bench_main(int argc, char** argv) {
   ExperimentConfig config;  // paper 1 GB geometry, UAA, event engine
   config.spare_scheme = "none";
   const std::vector<LifetimeResult> runs =
-      bench::run_over_seeds({&config, 1}, seeds, 42, jobs).front();
+      run_over_seeds({&config, 1}, seeds, 42, jobs).front();
 
   Table table({"seed", "normalized lifetime (%)", "realized q = EH/EL",
                "Eq.(5) linear-model (%)"});

@@ -49,7 +49,7 @@ int bench_main(int argc, char** argv) {
     config.spare_fraction = fraction;
     config.spare_scheme = fraction == 0.0 ? "none" : "maxwe";
   }
-  const auto runs = bench::run_over_seeds(configs, seeds, 42, jobs);
+  const auto runs = run_over_seeds(configs, seeds, 42, jobs);
   for (std::size_t i = 0; i < std::size(fractions); ++i) {
     const double lifetime = bench::summarize(runs[i]).mean();
 

@@ -53,7 +53,7 @@ int bench_main(int argc, char** argv) {
       config.swr_fraction = q;
     }
   }
-  const auto runs = bench::run_over_seeds(configs, seeds, 7, jobs);
+  const auto runs = run_over_seeds(configs, seeds, 7, jobs);
   for (std::size_t i = 0; i < std::size(swr_shares); ++i) {
     std::vector<Cell> row{Cell{100.0 * swr_shares[i]}};
     for (std::size_t j = 0; j < levelers.size(); ++j) {

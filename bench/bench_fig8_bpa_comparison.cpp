@@ -49,7 +49,7 @@ int bench_main(int argc, char** argv) {
       config.spare_scheme = scheme;
     }
   }
-  const auto runs = bench::run_over_seeds(configs, seeds, 7, jobs);
+  const auto runs = run_over_seeds(configs, seeds, 7, jobs);
   for (std::size_t i = 0; i < levelers.size(); ++i) {
     std::vector<Cell> row{Cell{levelers[i]}};
     for (std::size_t j = 0; j < schemes.size(); ++j) {

@@ -240,7 +240,7 @@ void BM_EventRunFleetDevice(benchmark::State& state) {
   std::uint64_t device = 0;
   for (auto _ : state) {
     config.seed = 1 + device++ % 4096;
-    benchmark::DoNotOptimize(run_experiment(config, nullptr, &workspace));
+    benchmark::DoNotOptimize(run_experiment(config, &workspace));
   }
   state.SetLabel(config.attack);
   state.SetItemsProcessed(state.iterations());

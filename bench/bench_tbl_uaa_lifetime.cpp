@@ -28,7 +28,7 @@ int bench_main(int argc, char** argv) {
     c.spare_fraction = spare;
     c.spare_scheme = scheme;
   }
-  const auto runs = bench::run_over_seeds(configs, seeds, 42, jobs);
+  const auto runs = run_over_seeds(configs, seeds, 42, jobs);
 
   struct Row {
     const char* name;

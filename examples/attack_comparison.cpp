@@ -5,13 +5,17 @@
 // Run: build/examples/attack_comparison [--lines N] [--regions R] [--seed S]
 
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "sim/experiment.h"
+#include "sim/parallel.h"
 #include "util/cli.h"
 #include "util/table.h"
-#include "wearlevel/wear_leveler.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace nvmsec;
 
   CliParser cli("Attack vs defense lifetime matrix (normalized lifetime %)");
@@ -19,36 +23,44 @@ int main(int argc, char** argv) {
   cli.add_flag("regions", "region count", "128");
   cli.add_flag("endurance", "mean line endurance (scaled)", "20000");
   cli.add_flag("seed", "RNG seed", "1");
-  try {
-    if (!cli.parse(argc, argv)) return 0;
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 1;
-  }
+  if (!cli.parse(argc, argv)) return 0;
 
   const std::uint64_t lines = cli.get_uint("lines");
   const std::uint64_t regions = cli.get_uint("regions");
   const double endurance = cli.get_double("endurance");
   const std::uint64_t seed = cli.get_uint("seed");
 
-  for (const std::string spare : {"none", "maxwe"}) {
-    Table table({"wear leveler", "zipf (benign)", "hotspot", "bpa", "uaa"});
-    table.set_title("spare scheme: " + spare +
-                    "  (lifetime as % of ideal; UAA is the strongest attack)");
-    table.set_precision(2);
-    for (const std::string wl :
-         {"none", "startgap", "tlsr", "pcms", "bwl", "wawl", "twl"}) {
-      std::vector<Cell> row;
-      row.emplace_back(wl);
-      for (const std::string attack : {"zipf", "hotspot", "bpa", "uaa"}) {
-        ExperimentConfig c = scaled_stochastic_config(lines, regions,
-                                                      endurance);
+  const std::vector<std::string> spares = {"none", "maxwe"};
+  const std::vector<std::string> levelers = {"none", "startgap", "tlsr", "pcms",
+                                             "bwl",  "wawl",     "twl"};
+  const std::vector<std::string> attacks = {"zipf", "hotspot", "bpa", "uaa"};
+  std::vector<ExperimentConfig> matrix;
+  for (const std::string& spare : spares) {
+    for (const std::string& wl : levelers) {
+      for (const std::string& attack : attacks) {
+        ExperimentConfig& c = matrix.emplace_back(
+            scaled_stochastic_config(lines, regions, endurance));
         c.attack = attack;
         c.wear_leveler = wl;
         c.spare_scheme = spare;
         c.seed = seed;
-        const double pct = 100.0 * run_experiment(c).normalized;
-        row.emplace_back(pct);
+      }
+    }
+  }
+  // One batch on all cores; results come back in matrix order.
+  const std::vector<LifetimeResult> results = run_experiments(matrix);
+
+  auto result = results.begin();
+  for (const std::string& spare : spares) {
+    Table table({"wear leveler", "zipf (benign)", "hotspot", "bpa", "uaa"});
+    table.set_title("spare scheme: " + spare +
+                    "  (lifetime as % of ideal; UAA is the strongest attack)");
+    table.set_precision(2);
+    for (const std::string& wl : levelers) {
+      std::vector<Cell> row;
+      row.emplace_back(wl);
+      for (std::size_t a = 0; a < attacks.size(); ++a, ++result) {
+        row.emplace_back(100.0 * result->normalized);
       }
       table.add_row(std::move(row));
     }
@@ -58,4 +70,15 @@ int main(int argc, char** argv) {
                "cannot rescue the uaa column (§3.3.1) — only spare-line "
                "replacement (Max-WE) moves that one.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -16,18 +16,15 @@
 #include "sim/experiment.h"
 #include "util/cli.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace nvmsec;
 
   CliParser cli("Max-WE quickstart: UAA vs. an unprotected and a protected "
                 "1 GB NVM bank");
   cli.add_flag("seed", "RNG seed for the endurance map draw", "42");
-  try {
-    if (!cli.parse(argc, argv)) return 0;
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n";
-    return 1;
-  }
+  if (!cli.parse(argc, argv)) return 0;
 
   ExperimentConfig config;  // defaults: paper 1 GB geometry, UAA, event mode
   config.seed = cli.get_uint("seed");
@@ -51,4 +48,15 @@ int main(int argc, char** argv) {
               overhead.maxwe_total_mb(), overhead.traditional_mb(),
               100.0 * overhead.ratio);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

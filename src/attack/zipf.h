@@ -32,9 +32,10 @@ struct ZipfDist {
       : weights(std::move(w)), ranks(weights), rank_counts(weights) {}
 };
 
-/// Process-wide LRU cache of Zipf distributions keyed by (skew, max_lines)
-/// — the endurance-cache idiom. The per-instance placement permutation is
-/// NOT cached (it depends on the placement seed and is a cheap shuffle).
+/// Process-wide LRU cache of Zipf distributions keyed by (skew, max_lines),
+/// shared by every zipf run, fleet devices included. The per-instance
+/// placement permutation is NOT cached (it depends on the placement seed
+/// and is a cheap shuffle).
 /// Thread-safe; returns a shared immutable instance.
 std::shared_ptr<const ZipfDist> zipf_dist(double s, std::uint64_t max_lines);
 

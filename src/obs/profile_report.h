@@ -68,12 +68,12 @@ struct ProfileDoc {
 /// Full rendering: flat table (total-descending), hierarchy tree (self
 /// time clamped at >= 0 — overlapping phases such as engine.rescue inside
 /// engine.batch.write make the tree approximate; flat totals are exact),
-/// counters with derived cache hit rates, worker utilization, and a final
-/// "attributed: NN.N% of wall" line that the overhead bench greps.
+/// counters with the derived DRAM-buffer hit rate, worker utilization, and
+/// a final "attributed: NN.N% of wall" line that the overhead bench greps.
 void render_profile(std::ostream& os, const ProfileDoc& doc);
 
 /// Compact rendering for report embedding: top phases by total time,
-/// cache hit rates, utilization summary, attributed line.
+/// the DRAM-buffer hit rate, utilization summary, attributed line.
 void render_profile_summary(std::ostream& os, const ProfileDoc& doc,
                             std::size_t top_phases = 8);
 

@@ -41,10 +41,10 @@ static_assert(sizeof(kProfPhaseInfo) / sizeof(kProfPhaseInfo[0]) ==
               "kProfPhaseInfo out of sync with ProfPhase");
 
 constexpr std::string_view kProfCounterNames[] = {
-    "endurance_cache.hit", "endurance_cache.miss", "buffer.hit",
-    "buffer.miss",         "buffer.evict",         "counts.chunks",
-    "counts.writes",       "batch.runs",           "batch.writes",
-    "perwrite.writes",     "detector.windows",     "rescue.events",
+    "buffer.hit",    "buffer.miss",     "buffer.evict",
+    "counts.chunks", "counts.writes",   "batch.runs",
+    "batch.writes",  "perwrite.writes", "detector.windows",
+    "rescue.events",
 };
 static_assert(sizeof(kProfCounterNames) / sizeof(kProfCounterNames[0]) ==
                   kProfCounterCount,

@@ -69,9 +69,7 @@ inline constexpr std::size_t kProfPhaseCount =
 /// Monotonic event counters that ride along with the phase timers: cheap
 /// enough to stay on even where a timer would not be.
 enum class ProfCounter : std::uint8_t {
-  kEnduranceCacheHit = 0,  // endurance-map cache hits (per experiment)
-  kEnduranceCacheMiss,
-  kBufferHit,            // DRAM-buffer write hits
+  kBufferHit = 0,        // DRAM-buffer write hits
   kBufferMiss,
   kBufferEvict,          // evictions written back to the device
   kCountsChunks,         // multinomial count-vector chunks issued

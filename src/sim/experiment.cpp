@@ -16,7 +16,6 @@
 #include "spare/freep.h"
 #include "nvm/device.h"
 #include "sim/bit_engine.h"
-#include "sim/endurance_cache.h"
 #include "sim/engine.h"
 #include "sim/event_sim.h"
 #include "sim/journal.h"
@@ -322,7 +321,6 @@ Device* ExperimentWorkspace::acquire_device(
 }
 
 LifetimeResult run_experiment(const ExperimentConfig& config,
-                              EnduranceMapCache* cache,
                               ExperimentWorkspace* workspace) {
   validate_experiment_config(config);
   if (config.observer.events != nullptr) {
@@ -354,38 +352,19 @@ LifetimeResult run_experiment(const ExperimentConfig& config,
   }
   Rng rng(config.seed);
 
-  // Everything between here and the engine's run() is "setup": map build
-  // (or cache hit), scheme/attack/leveler construction. The span is closed
-  // before run() so setup and run never overlap in the profile.
-  Profiler* const prof = config.observer.profiler;
+  // Everything between here and the engine's run() is "setup": map build,
+  // scheme/attack/leveler construction. The span is closed before run() so
+  // setup and run never overlap in the profile.
   std::optional<ScopedProfPhase> setup_span;
-  setup_span.emplace(prof, ProfPhase::kExperimentSetup);
+  setup_span.emplace(config.observer.profiler, ProfPhase::kExperimentSetup);
 
-  // The map (unless supplied or cached), spare scheme, device and event
-  // scratch come from the caller's workspace, or from a local one built for
-  // this run. A supplied map bypasses the cache, which would hand back the
-  // seed's model draw.
+  // The map (unless supplied), spare scheme, device and event scratch come
+  // from the caller's workspace, or from a local one built for this run.
   ExperimentWorkspace local_workspace;
   ExperimentWorkspace& ws = workspace != nullptr ? *workspace : local_workspace;
-  std::shared_ptr<const EnduranceMap> map;
-  if (config.endurance_map != nullptr) {
-    map = supplied_map(config, rng);
-  } else if (cache != nullptr) {
-    EnduranceMapCache::BuiltMap built =
-        cache->get_or_build(config.geometry, config.endurance, config.seed,
-                            config.line_jitter_sigma);
-    map = std::move(built.map);
-    // Continue the seed's stream from where map construction left it; this
-    // is what keeps cached and cold runs bit-identical (the spare schemes
-    // draw from the same rng next).
-    rng = built.rng_after_build;
-    if (prof != nullptr) {
-      prof->add(built.hit ? ProfCounter::kEnduranceCacheHit
-                          : ProfCounter::kEnduranceCacheMiss);
-    }
-  } else {
-    map = ws.acquire_map(config, rng);
-  }
+  const std::shared_ptr<const EnduranceMap> map =
+      config.endurance_map != nullptr ? supplied_map(config, rng)
+                                      : ws.acquire_map(config, rng);
   SpareScheme* const spare = ws.acquire_spare(config, map, rng);
 
   // Device faults live in a copy of the map: the spare scheme and wear

@@ -5,6 +5,7 @@
 // fair (all schemes get the same region-aligned spare budget).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -25,7 +26,6 @@ namespace nvmsec {
 
 class Device;
 class EnduranceMap;
-class EnduranceMapCache;
 class ExperimentWorkspace;
 class Rng;
 class SpareScheme;
@@ -59,7 +59,7 @@ struct ExperimentConfig {
   /// `endurance` (a map loaded from a file, say); its geometry must equal
   /// `geometry`. Rng(seed) then makes no map draws: it goes straight to
   /// line jitter, applied to a copy of the map, and on to the spare
-  /// scheme. Such a run never goes through an EnduranceMapCache.
+  /// scheme. Such a run leaves a workspace's map slot untouched.
   std::shared_ptr<const EnduranceMap> endurance_map;
 
   /// "uaa", "bpa", "hotspot", "random", "zipf" (a benign-workload proxy
@@ -172,14 +172,20 @@ void validate_experiment_config(const ExperimentConfig& config);
 ///
 /// The spare scheme, device and event-engine scratch come from `workspace`
 /// (a local one when nullptr), and so does the endurance map unless the
-/// config carries one or `cache` is given (see sim/endurance_cache.h; no
-/// batch path passes one). Neither changes the result by a bit: the cache
-/// replays the post-map RNG state, so every later draw (spare-scheme
-/// placement, attack, engine) is unchanged, and a workspace only recycles
-/// storage.
+/// config carries one. A workspace only recycles storage, so it never
+/// changes the result by a bit.
 LifetimeResult run_experiment(const ExperimentConfig& config,
-                              EnduranceMapCache* cache = nullptr,
                               ExperimentWorkspace* workspace = nullptr);
+
+/// The benchmark's call shape: perfbench/ calls `run_experiment(config,
+/// nullptr, &workspace)`, the signature from when a map cache was the
+/// second argument. Delete it with ROADMAP item 1, the benchmark change
+/// that stops perfbench naming library internals; nothing else calls it.
+inline LifetimeResult run_experiment(const ExperimentConfig& config,
+                                     std::nullptr_t,
+                                     ExperimentWorkspace* workspace) {
+  return run_experiment(config, workspace);
+}
 
 /// Stable 64-bit fingerprint of every field that shapes the simulation
 /// trajectory (geometry, endurance model, seed, attack, leveler, scheme,
@@ -211,7 +217,6 @@ class ExperimentWorkspace {
 
  private:
   friend LifetimeResult run_experiment(const ExperimentConfig& config,
-                                       EnduranceMapCache* cache,
                                        ExperimentWorkspace* workspace);
 
   /// Slot acquisition used by run_experiment. Each returns an object

@@ -415,7 +415,7 @@ FleetAggregate run_shard(const FleetSpec& spec, std::uint64_t shard,
 
     const LifetimeResult result = [&] {
       const ScopedProfPhase device_span(prof, ProfPhase::kFleetDevice);
-      return run_experiment(config, nullptr, workspace);
+      return run_experiment(config, workspace);
     }();
     agg.add(d, result, classify_failure_cause(std::string_view{}, result),
             /*log_truncated=*/false);
@@ -510,9 +510,7 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
       std::max<std::size_t>(pending.size(), 1));
   // One reusable setup state per thread slot, so every device after a
   // thread's first recycles its map/spare/device/event scratch instead of
-  // reallocating them. Fleet device seeds are all distinct, so an
-  // endurance-map cache would never hit; the workspaces' in-place map
-  // rebuilds replace it.
+  // reallocating them.
   std::vector<ExperimentWorkspace> workspaces(jobs);
 
   // Completion-side state: the fold into the result, checkpoint appends,

@@ -1,6 +1,7 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_set>
@@ -206,6 +207,28 @@ std::vector<LifetimeResult> run_experiments(
     options.profiler->set_utilization(utilization, section_ns);
   }
   return results;
+}
+
+std::vector<std::vector<LifetimeResult>> run_over_seeds(
+    std::span<const ExperimentConfig> configs, std::uint64_t seeds,
+    std::uint64_t base_seed, const ParallelOptions& options) {
+  if (seeds == 0) throw std::invalid_argument("--seeds must be at least 1");
+  std::vector<ExperimentConfig> batch;
+  batch.reserve(configs.size() * seeds);
+  for (const ExperimentConfig& config : configs) {
+    for (std::uint64_t s = 0; s < seeds; ++s) {
+      batch.push_back(config);
+      batch.back().seed = base_seed + s;
+    }
+  }
+  const std::vector<LifetimeResult> results = run_experiments(batch, options);
+  std::vector<std::vector<LifetimeResult>> runs;
+  runs.reserve(configs.size());
+  for (auto first = results.begin(); first != results.end();
+       first += static_cast<std::ptrdiff_t>(seeds)) {
+    runs.emplace_back(first, first + static_cast<std::ptrdiff_t>(seeds));
+  }
+  return runs;
 }
 
 }  // namespace nvmsec

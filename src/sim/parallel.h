@@ -72,4 +72,13 @@ std::vector<LifetimeResult> run_experiments(
     std::span<const ExperimentConfig> configs,
     const ParallelOptions& options = {});
 
+/// Run every config over `seeds` seeds (base_seed, base_seed+1, ...) as
+/// one run_experiments batch, so the whole grid shares the jobs workers.
+/// Returns runs[c][s]: config c at seed base_seed + s, which is run
+/// c * seeds + s of the batch (its key in a sweep checkpoint). Throws
+/// std::invalid_argument when `seeds` is 0.
+std::vector<std::vector<LifetimeResult>> run_over_seeds(
+    std::span<const ExperimentConfig> configs, std::uint64_t seeds,
+    std::uint64_t base_seed, const ParallelOptions& options = {});
+
 }  // namespace nvmsec

@@ -449,7 +449,7 @@ std::uint64_t run_cell(ExperimentConfig config, ExperimentWorkspace* workspace,
   std::ostringstream events_out;
   EventLog events(events_out);
   config.observer.events = &events;
-  const LifetimeResult r = run_experiment(config, nullptr, workspace);
+  const LifetimeResult r = run_experiment(config, workspace);
   events.flush();
 
   Fnv1a h;

@@ -8,7 +8,6 @@
 
 #include "core/maxwe.h"
 #include "nvm/endurance_map.h"
-#include "sim/endurance_cache.h"
 #include "sim/event_sim.h"
 #include "sim/parallel.h"
 #include "spare/freep.h"
@@ -279,7 +278,7 @@ TEST(ExperimentWorkspaceTest, EventModeReuseIsBitIdentical) {
       c.spare_scheme = scheme;
       c.seed = seed;
       const LifetimeResult fresh = run_experiment(c);
-      const LifetimeResult reused = run_experiment(c, nullptr, &ws);
+      const LifetimeResult reused = run_experiment(c, &ws);
       expect_identical(fresh, reused);
     }
   }
@@ -294,7 +293,7 @@ TEST(ExperimentWorkspaceTest, StochasticModeReuseIsBitIdentical) {
     c.spare_scheme = "maxwe";
     c.seed = seed;
     const LifetimeResult fresh = run_experiment(c);
-    const LifetimeResult reused = run_experiment(c, nullptr, &ws);
+    const LifetimeResult reused = run_experiment(c, &ws);
     expect_identical(fresh, reused);
   }
 }
@@ -312,8 +311,22 @@ TEST(ExperimentWorkspaceTest, ShapeChangesRebuildCleanly) {
   stoch.spare_scheme = "maxwe";
   for (const ExperimentConfig* c : {&big, &small, &stoch, &big, &stoch}) {
     const LifetimeResult fresh = run_experiment(*c);
-    const LifetimeResult reused = run_experiment(*c, nullptr, &ws);
+    const LifetimeResult reused = run_experiment(*c, &ws);
     expect_identical(fresh, reused);
+  }
+}
+
+TEST(ExperimentWorkspaceTest, BenchmarkCallShapeRunsThroughTheWorkspace) {
+  // perfbench/ calls run_experiment(config, nullptr, &workspace); the
+  // forwarding overload must run exactly what the workspace call runs.
+  ExperimentWorkspace ws;
+  ExperimentWorkspace reference_ws;
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    ExperimentConfig c = small_event_config();
+    c.spare_scheme = "maxwe";
+    c.seed = seed;
+    expect_identical(run_experiment(c, &reference_ws),
+                     run_experiment(c, nullptr, &ws));
   }
 }
 
@@ -327,7 +340,7 @@ TEST(ExperimentWorkspaceTest, LineJitterRunsMatchThroughReuse) {
     c.line_jitter_sigma = 0.2;
     c.seed = seed;
     const LifetimeResult fresh = run_experiment(c);
-    const LifetimeResult reused = run_experiment(c, nullptr, &ws);
+    const LifetimeResult reused = run_experiment(c, &ws);
     expect_identical(fresh, reused);
   }
 }
@@ -376,9 +389,9 @@ TEST(SuppliedMapTest, RunEqualsTheLoadMapPipeline) {
   }
 }
 
-TEST(SuppliedMapTest, BatchesBypassTheMapCacheAtAnyJobCount) {
-  // A map cache would hand back each seed's model draw; a supplied map
-  // must reach every run of a batch, at any job count.
+TEST(SuppliedMapTest, ReachesEveryRunOfABatchAtAnyJobCount) {
+  // A supplied map, not the seed's model draw, must reach every run of a
+  // batch, at any job count.
   std::vector<ExperimentConfig> configs;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     ExperimentConfig& c = configs.emplace_back(small_event_config());
@@ -401,11 +414,6 @@ TEST(SuppliedMapTest, BatchesBypassTheMapCacheAtAnyJobCount) {
       expect_identical(run_experiment(configs[i]), results[i]);
     }
   }
-  // Handed a cache directly, run_experiment leaves it untouched too.
-  EnduranceMapCache cache;
-  expect_identical(run_experiment(configs[0]),
-                   run_experiment(configs[0], &cache));
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(SuppliedMapTest, RunsThroughAWorkspaceWithoutTouchingItsMap) {
@@ -415,7 +423,7 @@ TEST(SuppliedMapTest, RunsThroughAWorkspaceWithoutTouchingItsMap) {
   ExperimentConfig supplied = drawn;
   supplied.endurance_map = foreign_map();
   for (const ExperimentConfig* c : {&drawn, &supplied, &drawn, &supplied}) {
-    expect_identical(run_experiment(*c), run_experiment(*c, nullptr, &ws));
+    expect_identical(run_experiment(*c), run_experiment(*c, &ws));
   }
 }
 

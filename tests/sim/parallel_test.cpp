@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
-#include "bench_common.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 
@@ -188,13 +188,29 @@ TEST(RunExperimentsTest, InvalidConfigPropagatesSmallestIndexError) {
     c.endurance.endurance_at_mean = 1e6;
     c.spare_scheme = "maxwe";
   }
-  configs[1].attack = "bpa";   // invalid for the event engine
-  configs[2].attack = "zipf";  // also invalid; index 1 must win
+  // Three runs fail, each on a different validate_experiment_config rule;
+  // the batch must rethrow index 1's error.
+  configs[1].attack = "bpa";  // non-stationary: not for the event engine
+  configs[2].checkpoint_interval = 1000;  // without a checkpoint_out
+  configs[3].detect = true;               // detection needs stochastic mode
+  std::vector<std::string> errors;
+  for (std::size_t i = 1; i < configs.size(); ++i) {
+    try {
+      validate_experiment_config(configs[i]);
+      ADD_FAILURE() << "run " << i << " passed validation";
+    } catch (const std::invalid_argument& e) {
+      errors.emplace_back(e.what());
+    }
+  }
+  ASSERT_EQ(errors.size(), 3u);
+  EXPECT_NE(errors[0], errors[1]);
+  EXPECT_NE(errors[0], errors[2]);
+  EXPECT_NE(errors[1], errors[2]);
   try {
     run_experiments(configs, four_jobs());
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("bpa"), std::string::npos);
+    EXPECT_EQ(std::string(e.what()), errors[0]);
   }
 }
 
@@ -237,7 +253,7 @@ TEST(RunExperimentsTest, PerRunObserversAllowedWhenParallel) {
   EXPECT_GT(results[0].normalized, 0.0);
 }
 
-// bench::run_over_seeds, the one batch behind every paper bench.
+// run_over_seeds, the one batch behind every paper bench and seed sweep.
 std::vector<ExperimentConfig> bench_grid() {
   std::vector<ExperimentConfig> configs;
   for (const char* scheme : {"none", "pcd", "maxwe-random"}) {
@@ -254,7 +270,7 @@ TEST(RunOverSeedsTest, EachConfigAndSeedMatchesADirectRun) {
   const std::vector<ExperimentConfig> configs = bench_grid();
   ParallelOptions one_job;
   one_job.jobs = 1;
-  const auto runs = bench::run_over_seeds(configs, 3, 40, one_job);
+  const auto runs = run_over_seeds(configs, 3, 40, one_job);
   ASSERT_EQ(runs.size(), configs.size());
   for (std::size_t c = 0; c < configs.size(); ++c) {
     ASSERT_EQ(runs[c].size(), 3u);
@@ -270,8 +286,8 @@ TEST(RunOverSeedsTest, SameResultsAtJobsOneAndFour) {
   const std::vector<ExperimentConfig> configs = bench_grid();
   ParallelOptions one_job;
   one_job.jobs = 1;
-  const auto serial = bench::run_over_seeds(configs, 3, 40, one_job);
-  const auto parallel = bench::run_over_seeds(configs, 3, 40, four_jobs());
+  const auto serial = run_over_seeds(configs, 3, 40, one_job);
+  const auto parallel = run_over_seeds(configs, 3, 40, four_jobs());
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t c = 0; c < serial.size(); ++c) {
     ASSERT_EQ(parallel[c].size(), serial[c].size());
@@ -282,7 +298,7 @@ TEST(RunOverSeedsTest, SameResultsAtJobsOneAndFour) {
 }
 
 TEST(RunOverSeedsTest, ZeroSeedsThrows) {
-  EXPECT_THROW(bench::run_over_seeds(bench_grid(), 0, 42, {}),
+  EXPECT_THROW(run_over_seeds(bench_grid(), 0, 42, {}),
                std::invalid_argument);
 }
 

@@ -12,7 +12,6 @@
 //   maxwe_report --events run.events.jsonl --md postmortem.md
 //                --metrics run.json --snapshots run.snapshots.jsonl
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -22,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "attack/mixed.h"
 #include "obs/json_parse.h"
 #include "obs/profile_report.h"
 #include "util/cli.h"
@@ -34,6 +34,8 @@ using nvmsec::Cell;
 using nvmsec::read_file;
 using nvmsec::ReportRenderer;
 using nvmsec::Histogram;
+using nvmsec::MixedPhaseSpec;
+using nvmsec::parse_mixed_phases;
 using nvmsec::Table;
 using nvmsec::minijson::JsonValue;
 using nvmsec::minijson::parse_json;
@@ -251,42 +253,6 @@ std::string fmt(double v, int digits = 2) {
   return nvmsec::format_number(v, digits);
 }
 
-/// One phase of the attack_phases ground-truth schedule.
-struct PhaseSpan {
-  std::string name;
-  double writes{0};  // 0 = terminal unbounded
-};
-
-/// Parse the "name:writes,..." schedule an attack_phases event recorded
-/// (k/m/g suffixes, writes 0 = terminal unbounded last phase).
-std::vector<PhaseSpan> parse_schedule(const std::string& spec) {
-  std::vector<PhaseSpan> phases;
-  std::istringstream in(spec);
-  std::string entry;
-  while (std::getline(in, entry, ',')) {
-    if (entry.empty()) continue;
-    PhaseSpan p;
-    const std::size_t colon = entry.find(':');
-    if (colon == std::string::npos) {
-      p.name = entry;
-    } else {
-      p.name = entry.substr(0, colon);
-      std::string w = entry.substr(colon + 1);
-      double scale = 1;
-      if (!w.empty()) {
-        const char suffix = static_cast<char>(std::tolower(w.back()));
-        if (suffix == 'k') scale = 1e3;
-        if (suffix == 'm') scale = 1e6;
-        if (suffix == 'g') scale = 1e9;
-        if (scale != 1) w.pop_back();
-      }
-      if (!w.empty()) p.writes = std::stod(w) * scale;
-    }
-    phases.push_back(std::move(p));
-  }
-  return phases;
-}
-
 /// Benign phases: workload proxies, not attacks. Everything else counts
 /// as ground-truth attack traffic for the detector scoring.
 bool benign_phase(const std::string& name) {
@@ -295,18 +261,22 @@ bool benign_phase(const std::string& name) {
 
 /// Phase active at user-write time t. A bounded last phase cycles; a
 /// 0-writes last phase is terminal and absorbs the rest of the run.
-const std::string& phase_at(const std::vector<PhaseSpan>& phases, double t) {
+const std::string& phase_at(const std::vector<MixedPhaseSpec>& phases,
+                            double t) {
   static const std::string empty;
   if (phases.empty()) return empty;
   double total = 0;
-  for (const PhaseSpan& p : phases) total += p.writes;
+  for (const MixedPhaseSpec& p : phases) {
+    total += static_cast<double>(p.writes);
+  }
   const bool cyclic = phases.back().writes > 0;
   if (cyclic && total > 0) t = std::fmod(t, total);
-  for (const PhaseSpan& p : phases) {
-    if (p.writes == 0 || t < p.writes) return p.name;
-    t -= p.writes;
+  for (const MixedPhaseSpec& p : phases) {
+    const double writes = static_cast<double>(p.writes);
+    if (p.writes == 0 || t < writes) return p.attack;
+    t -= writes;
   }
-  return phases.back().name;
+  return phases.back().attack;
 }
 
 /// Ground-truth label for a window: attack iff the phase active at its
@@ -314,7 +284,7 @@ const std::string& phase_at(const std::vector<PhaseSpan>& phases, double t) {
 /// attack name (a pure-uaa detector run is all-attack, a zipf run is
 /// all-benign).
 bool window_is_attack(const RunReport& r,
-                      const std::vector<PhaseSpan>& phases,
+                      const std::vector<MixedPhaseSpec>& phases,
                       const DetectWindow& w) {
   if (phases.empty()) return !benign_phase(r.attack);
   return !benign_phase(phase_at(phases, w.t - w.writes / 2));
@@ -468,7 +438,10 @@ void render_detector(ReportRenderer& out, const RunReport& r) {
              "was truncated before the first window closed)\n");
     return;
   }
-  const std::vector<PhaseSpan> phases = parse_schedule(r.attack_schedule);
+  // The attack_phases ground truth, parsed as the run parsed it.
+  const std::vector<MixedPhaseSpec> phases =
+      r.attack_schedule.empty() ? std::vector<MixedPhaseSpec>{}
+                                : parse_mixed_phases(r.attack_schedule);
 
   // Confusion counts at the detector's own per-window operating point and
   // at the hysteresis-filtered alarm level.
@@ -522,11 +495,13 @@ void render_detector(ReportRenderer& out, const RunReport& r) {
     } else {
       double at = 0;
       bool prev_benign = true;
-      for (const PhaseSpan& p : phases) {
-        if (!benign_phase(p.name) && prev_benign) onsets.emplace_back(at, p.name);
-        prev_benign = benign_phase(p.name);
+      for (const MixedPhaseSpec& p : phases) {
+        if (!benign_phase(p.attack) && prev_benign) {
+          onsets.emplace_back(at, p.attack);
+        }
+        prev_benign = benign_phase(p.attack);
         if (p.writes == 0) break;
-        at += p.writes;
+        at += static_cast<double>(p.writes);
       }
     }
     std::uint64_t false_alarms = 0;

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
                "maxwe_report)", "");
   cli.add_flag("profile-out",
                "write the aggregate self-profile JSON here (phase timings, "
-               "cache/chunk counters, worker utilization; wall-clock, so "
+               "buffer/chunk counters, worker utilization; wall-clock, so "
                "excluded from byte-identity — feed to maxwe_profile)", "");
   cli.add_flag("checkpoint-out",
                "crash-safe checkpoint file: engine state every "
@@ -193,12 +193,8 @@ int main(int argc, char** argv) {
     // Seed sweep: N independent runs, deterministic seed-order reduction.
     // Seed s is bank s of an N-bank module, whose lifetime is the minimum.
     if (seeds > 1) {
-      std::vector<ExperimentConfig> sweep(seeds, config);
-      for (std::uint64_t s = 0; s < seeds; ++s) {
-        sweep[s].seed = config.seed + s;
-      }
       const std::vector<LifetimeResult> results =
-          run_experiments(sweep, parallel);
+          run_over_seeds({&config, 1}, seeds, config.seed, parallel).front();
       RunningStats stats;
       // On a tie, the weakest seed is the first one at the minimum.
       std::uint64_t weakest = 0;
